@@ -30,7 +30,7 @@ from .formats import (
     serialize_graph,
     serialize_mixed,
 )
-from .graphs import girth, mixed_square, undirected_square
+from .graphs import has_triangle, mixed_square, undirected_square
 from .reduction import (
     clause_gadget,
     gadget_signature_report,
@@ -79,9 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", metavar="FILE", help="write a witness when the answer is yes")
     p.add_argument("--dot", metavar="FILE", help="write the witness in DOT format")
     p.add_argument("--node-limit", type=int, default=None, metavar="N")
-    p.add_argument("--threads", type=int, default=1, metavar="N")
-    p.add_argument("--seed", type=int, default=None,
-                   help="reserved; all methods are deterministic")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="verify a witness against a graph")
@@ -135,11 +132,11 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     if method == "auto":
         if g.max_degree() <= 3:
             method = "deg3"
-        elif girth(g) >= 4:
+        elif not has_triangle(g):
             method = "girth4"
         else:
             method = "exact"
-    opts = SolveOptions(node_limit=args.node_limit, threads=args.threads)
+    opts = SolveOptions(node_limit=args.node_limit)
     witness = None
     try:
         if method == "deg3":

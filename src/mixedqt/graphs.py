@@ -201,6 +201,12 @@ def triangle_free_edges(g: Graph) -> frozenset[Edge]:
     return frozenset(e for e in g.edges if not (adj[e[0]] & adj[e[1]]))
 
 
+def has_triangle(g: Graph) -> bool:
+    """True iff some edge's endpoints have a common neighbour (girth three)."""
+    adj = g.adj
+    return any(adj[u] & adj[v] for u, v in g.edges)
+
+
 def edge_subgraph(g: Graph, x: Iterable[Edge]) -> tuple[Graph, tuple[int, ...]]:
     """The graph formed from the edge subset ``x``.
 
@@ -242,8 +248,14 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) <= 1
 
 
-def find_odd_cycle(g: Graph) -> tuple[int, ...] | None:
-    """An odd cycle as a vertex sequence, or None when the graph is bipartite."""
+def _two_colour(g: Graph) -> tuple[dict[int, int], dict[int, int | None],
+                                    tuple[int, int] | None]:
+    """Breadth-first 2-colouring from each component's smallest vertex.
+
+    Returns the colours, the BFS parents and the first edge found with both
+    ends the same colour (None when the graph is bipartite); the search stops
+    at that edge.
+    """
     colour: dict[int, int] = {}
     parent: dict[int, int | None] = {}
     for root in range(g.n):
@@ -262,8 +274,14 @@ def find_odd_cycle(g: Graph) -> tuple[int, ...] | None:
                     parent[w] = v
                     queue.append(w)
                 elif colour[w] == colour[v]:
-                    return _tree_cycle(parent, v, w)
-    return None
+                    return colour, parent, (v, w)
+    return colour, parent, None
+
+
+def find_odd_cycle(g: Graph) -> tuple[int, ...] | None:
+    """An odd cycle as a vertex sequence, or None when the graph is bipartite."""
+    _colour, parent, clash = _two_colour(g)
+    return None if clash is None else _tree_cycle(parent, *clash)
 
 
 def _tree_cycle(parent: dict[int, int | None], x: int, y: int) -> tuple[int, ...]:
@@ -291,22 +309,9 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
 
     Deterministic: the smallest vertex of each component lands in V1.
     """
-    colour: dict[int, int] = {}
-    for root in range(g.n):
-        if root in colour:
-            continue
-        colour[root] = 0
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for w in sorted(g.adj[v]):
-                if w not in colour:
-                    colour[w] = colour[v] ^ 1
-                    queue.append(w)
-                elif colour[w] == colour[v]:
-                    return None
+    colour, _parent, clash = _two_colour(g)
+    if clash is not None:
+        return None
     v1 = frozenset(v for v, c in colour.items() if c == 0)
     return v1, frozenset(range(g.n)) - v1
 

@@ -20,6 +20,7 @@ from .solver import (
     VertexStatus,
     WitnessError,
     enumerate_qt,
+    signature,
     verify_witness,
     vertex_status,
 )
@@ -64,16 +65,10 @@ def _gadget_graph(drop_pendants: bool) -> Graph:
 def _literal_signature(mixed: MixedGraph) -> Signature | None:
     """Signature over the literal triple, or None when some literal is
     neither a source nor a sink (possible only without pendants)."""
-    comps = []
-    for v in GADGET_LITERALS:
-        st = vertex_status(mixed, v)
-        if st is VertexStatus.SOURCE:
-            comps.append("+")
-        elif st is VertexStatus.SINK:
-            comps.append("-")
-        else:
-            return None
-    return (comps[0], comps[1], comps[2])
+    try:
+        return signature(mixed, GADGET_LITERALS)
+    except ValueError:
+        return None
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ pattern on the cut, and those side problems are memoised.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -280,25 +279,32 @@ class BudgetExceeded(RuntimeError):
         self.nodes = nodes
 
 
+# Regions with at most FLAT_CUTOFF edges are searched directly; independent
+# cuts of 2..MAX_CUT_SIZE vertices are only sought in regions of at most
+# CUT_SEARCH_LIMIT vertices (a cut vertex is always taken when one exists).
+FLAT_CUTOFF = 10
+MAX_CUT_SIZE = 3
+CUT_SEARCH_LIMIT = 256
+
+
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tuning knobs for :func:`decide_qt`.
+    """Options for :func:`decide_qt`.
 
     ``node_limit`` bounds the number of search nodes before raising
-    :class:`BudgetExceeded`.  ``decompose`` enables independent-cut
-    decomposition; components with at most ``flat_cutoff`` edges are searched
-    directly, and cuts of size 2..``max_cut_size`` are only sought in
-    components of at most ``cut_search_limit`` vertices.  ``threads`` solves
-    connected components concurrently (results are identical to sequential
-    execution).
+    :class:`BudgetExceeded`; None means unbounded, negative values are
+    rejected.  ``decompose`` enables the independent-cut decomposition (see
+    ``FLAT_CUTOFF``, ``MAX_CUT_SIZE`` and ``CUT_SEARCH_LIMIT``); without it
+    every connected component goes to one flat search, which serves as the
+    reference path.
     """
 
     node_limit: int | None = None
     decompose: bool = True
-    max_cut_size: int = 3
-    flat_cutoff: int = 10
-    cut_search_limit: int = 256
-    threads: int = 1
+
+    def __post_init__(self) -> None:
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError(f"node limit must be non-negative, got {self.node_limit}")
 
 
 class _Budget:
@@ -522,10 +528,10 @@ class _ComponentSolver:
     """
 
     def __init__(self, adj0: list[set[int]], edges0: frozenset[Edge],
-                 opts: SolveOptions, budget: _Budget):
+                 decompose: bool, budget: _Budget):
         self.adj0 = adj0
         self.edges0 = edges0
-        self.opts = opts
+        self.decompose = decompose
         self.budget = budget
         self.memo: dict = {}
         self.class_id: dict[int, int] = {}
@@ -600,7 +606,7 @@ class _ComponentSolver:
         edges = frozenset(e for e in self.edges0 if e[0] in region and e[1] in region)
         result = None
         decomposed = False
-        if self.opts.decompose and len(edges) > self.opts.flat_cutoff:
+        if self.decompose and len(edges) > FLAT_CUTOFF:
             cut = self._find_cut(region, adj)
             if cut is not None:
                 decomposed = True
@@ -643,11 +649,11 @@ class _ComponentSolver:
             comps = _components_of(set(vertices) - {v}, adj)
             v2 = frozenset().union(*comps[1:])
             return frozenset({v}), comps[0], v2
-        if self.opts.max_cut_size < 2 or len(vertices) > self.opts.cut_search_limit:
+        if len(vertices) > CUT_SEARCH_LIMIT:
             return None
         best = None
         for seed in sorted(vertices):
-            cut = _grow_cut(seed, vertices, adj, self.opts.max_cut_size)
+            cut = _grow_cut(seed, vertices, adj)
             if cut is not None and (best is None or len(cut[0]) < len(best[0])):
                 best = cut
                 if len(best[0]) == 2:
@@ -655,10 +661,9 @@ class _ComponentSolver:
         return best
 
 
-def _grow_cut(seed: int, vertices: frozenset[int], adj: dict[int, set[int]],
-              max_size: int):
+def _grow_cut(seed: int, vertices: frozenset[int], adj: dict[int, set[int]]):
     """Grow a region from ``seed`` until its neighbourhood is an independent
-    set of at most ``max_size`` vertices separating it from the rest.
+    set of at most ``MAX_CUT_SIZE`` vertices separating it from the rest.
 
     A greedy heuristic: boundary vertices with no neighbour outside are
     absorbed, otherwise the vertex whose absorption keeps the boundary
@@ -682,7 +687,7 @@ def _grow_cut(seed: int, vertices: frozenset[int], adj: dict[int, set[int]],
                 absorbed = True
         if absorbed:
             continue
-        if len(boundary) <= max_size and not any(
+        if len(boundary) <= MAX_CUT_SIZE and not any(
                 adj[a] & boundary for a in boundary):
             return frozenset(boundary), frozenset(region), frozenset(rest)
         pick = None
@@ -704,20 +709,10 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation 
     which is distinct from a NO answer.
     """
     opts = opts or SolveOptions()
-    if opts.threads < 1:
-        raise ValueError("threads must be at least 1")
     adj0 = [set(a) for a in g.adj]
     budget = _Budget(opts.node_limit)
-    comps = connected_components(g)
-
-    def solve_component(comp: frozenset[int]):
-        return _ComponentSolver(adj0, g.edges, opts, budget).solve_root(comp)
-
-    if opts.threads > 1 and len(comps) > 1 and opts.node_limit is None:
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            results = list(pool.map(solve_component, comps))
-    else:
-        results = [solve_component(c) for c in comps]
+    results = [_ComponentSolver(adj0, g.edges, opts.decompose, budget).solve_root(comp)
+               for comp in connected_components(g)]
     if any(r is None for r in results):
         return None
     edges = frozenset().union(*(r[0] for r in results)) if results else frozenset()

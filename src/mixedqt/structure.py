@@ -20,6 +20,7 @@ from .graphs import (
     edge,
     edge_subgraph,
     find_odd_cycle,
+    has_triangle,
     triangle_free_edges,
     underlying,
     undirected_square,
@@ -256,8 +257,7 @@ def decide_girth4(g: Graph) -> PartialOrientation | None:
     witness orients every edge from one colour class to the other, making
     every vertex a source or a sink.
     """
-    adj = g.adj
-    if any(adj[u] & adj[v] for u, v in g.edges):
+    if has_triangle(g):
         raise ValueError("graph contains a triangle; girth must be at least four")
     parts = bipartition(g)
     if parts is None:

@@ -56,10 +56,27 @@ class TestDecide:
     def test_budget_exit_code(self):
         assert run(["decide", fx("k5.graph"), "--node-limit", "1"]) == 3
 
-    def test_json_output(self, capsys):
-        assert run(["decide", fx("c5.graph"), "--json"]) == 1
+    @pytest.mark.parametrize("name", ["c5.graph", "k5.graph"])
+    def test_negative_node_limit_is_usage_error(self, name):
+        assert run(["decide", fx(name), "--node-limit", "-1"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--threads", "--seed"])
+    def test_removed_flags_are_usage_errors(self, flag):
+        assert run(["decide", fx("c5.graph"), flag, "1"]) == 2
+
+    @pytest.mark.parametrize("text,answer,method", [
+        ("p graph 5 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 0\n", "NO", "deg3"),
+        (serialize_graph(complete_graph(5)), "YES", "exact"),
+        ("p graph 5 4\ne 0 1\ne 0 2\ne 0 3\ne 0 4\n", "YES", "girth4"),
+        ("p graph 7 7\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 0\ne 0 5\ne 0 6\n",
+         "NO", "girth4"),
+    ], ids=["c5", "k5", "star4", "c5-pendants"])
+    def test_json_output(self, tmp_path, capsys, text, answer, method):
+        path = tmp_path / "g.graph"
+        path.write_text(text)
+        assert run(["decide", str(path), "--json"]) == (0 if answer == "YES" else 1)
         payload = json.loads(capsys.readouterr().out)
-        assert payload["answer"] == "NO"
+        assert (payload["answer"], payload["method"]) == (answer, method)
 
     def test_missing_file(self):
         assert run(["decide", fx("nope.graph")]) == 2

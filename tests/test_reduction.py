@@ -76,6 +76,8 @@ class TestSignatureCensus:
         report = gadget_signature_report(drop_pendants=True)
         assert report.signatures == frozenset(NON_CONSTANT)
         assert report.constant_counts == (0, 0)
+        assert report.orientation_count == 76
+        assert report.unsigned_count == 28
 
     def test_complement_closure(self):
         sigs = gadget_signature_report().signatures

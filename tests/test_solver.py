@@ -219,16 +219,9 @@ class TestDecideQt:
         with pytest.raises(BudgetExceeded):
             decide_qt(complete_graph(6), SolveOptions(node_limit=1))
 
-    def test_threads_match_sequential(self):
-        g = Graph(9, frozenset({(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
-                                (6, 7), (7, 8)}))
-        w1 = decide_qt(g, SolveOptions(threads=1))
-        w3 = decide_qt(g, SolveOptions(threads=3))
-        assert w1.mixed == w3.mixed
-
-    def test_bad_thread_count(self):
+    def test_negative_node_limit_rejected(self):
         with pytest.raises(ValueError):
-            decide_qt(Graph(1), SolveOptions(threads=0))
+            SolveOptions(node_limit=-1)
 
     @given(graphs(max_n=6, max_edges=9))
     def test_random_inputs_agree_with_enumeration(self, g):
