@@ -13,6 +13,20 @@ must be sources or sinks, which drives an alternating propagation along
 triangle-free paths.  Independent vertex cuts of size at most three split the
 search into independent sides that only communicate through the source/sink
 pattern on the cut, and those side problems are memoised.
+
+The split rests on one structural fact: in every quasi-transitive partial
+orientation, each vertex of an independent cut (with neighbours on both
+sides) is a source or a sink.  It has an arc, because a kept edge is covered
+by a 2-dipath through both its ends.  It is not internal: an in-arc and an
+out-arc on opposite sides form an induced 2-dipath.  With both on one side,
+an edge to the other side can be neither an arc nor a kept edge: a kept
+edge's covering 2-dipath passes through a common neighbour, which lies on
+that other side too, and any arc at the cut vertex to that side would form
+an induced 2-dipath with one of the first two arcs.  So no 2-dipath has a
+cut vertex in the middle, every 2-dipath and every covering stays within
+one side plus the cut, and enumerating the source/sink patterns on the cut
+is complete.  A region's split into connected components and its cut are
+computed once per :func:`decide_qt` call and reused for every pattern.
 """
 
 from __future__ import annotations
@@ -525,17 +539,28 @@ class _ComponentSolver:
     on class bits where possible, which keeps memo keys small when the same
     class meets many cuts, and classes with an odd cycle settle the whole
     component negatively up front.
+
+    Splitting a region at an independent cut is complete because every cut
+    vertex is a source or a sink (see the module docstring), so the sides
+    share nothing but the source/sink pattern on the cut.  What depends on a
+    vertex set alone (its connected components, the polarity classes meeting
+    it, and its cut with each side joined to the cut) is cached on the
+    instance, so it is computed once per :func:`decide_qt` call and shared
+    by every cut pattern.
     """
 
-    def __init__(self, adj0: list[set[int]], edges0: frozenset[Edge],
-                 decompose: bool, budget: _Budget):
+    def __init__(self, adj0: list[set[int]], decompose: bool, budget: _Budget):
         self.adj0 = adj0
-        self.edges0 = edges0
         self.decompose = decompose
         self.budget = budget
         self.memo: dict = {}
         self.class_id: dict[int, int] = {}
         self.parity: dict[int, int] = {}
+        # What depends on a vertex set alone, keyed by that frozenset.
+        self.splits: dict[frozenset[int], list[frozenset[int]]] = {}
+        self.classes: dict[frozenset[int], frozenset[int]] = {}
+        self.cuts: dict[frozenset[int], tuple[frozenset[int], frozenset[int],
+                                              frozenset[int]] | None] = {}
 
     def solve_root(self, comp: frozenset[int]):
         adj = {v: self.adj0[v] & comp for v in comp}
@@ -568,10 +593,12 @@ class _ComponentSolver:
 
     def _solve(self, vertices: frozenset[int], fclasses: dict[int, int],
                fverts: dict[int, int]):
-        adj = {v: self.adj0[v] & vertices for v in vertices}
-        comps = _components_of(set(vertices), adj)
+        comps = self.splits.get(vertices)
+        if comps is None:
+            adj = {v: self.adj0[v] & vertices for v in vertices}
+            comps = self.splits[vertices] = _components_of(set(vertices), adj)
         if len(comps) == 1:
-            return self._component(comps[0], fclasses, fverts)
+            return self._component(vertices, fclasses, fverts)
         acc_e: set[Edge] = set()
         acc_a: set[tuple[int, int]] = set()
         for comp in comps:
@@ -595,48 +622,60 @@ class _ComponentSolver:
 
     def _component(self, region: frozenset[int], fclasses: dict[int, int],
                    fverts: dict[int, int]):
-        rclasses = {self.class_id[v] for v in region if v in self.class_id}
+        rclasses = self.classes.get(region)
+        if rclasses is None:
+            rclasses = self.classes[region] = frozenset(
+                self.class_id[v] for v in region if v in self.class_id)
         key = (region,
                tuple(sorted((c, b) for c, b in fclasses.items() if c in rclasses)),
                tuple(sorted((v, p) for v, p in fverts.items() if v in region)))
         if key in self.memo:
             return self.memo[key]
         self.budget.spend()
-        adj = {v: self.adj0[v] & region for v in region}
-        edges = frozenset(e for e in self.edges0 if e[0] in region and e[1] in region)
+        adj = None
+        if region in self.cuts:
+            cut = self.cuts[region]
+        else:
+            adj = {v: self.adj0[v] & region for v in region}
+            cut = None
+            if self.decompose and sum(map(len, adj.values())) > 2 * FLAT_CUTOFF:
+                found = self._find_cut(region, adj)
+                if found is not None:
+                    cut_vs, v1, v2 = found
+                    cut = (cut_vs, v1 | cut_vs, v2 | cut_vs)
+            self.cuts[region] = cut
         result = None
-        decomposed = False
-        if self.decompose and len(edges) > FLAT_CUTOFF:
-            cut = self._find_cut(region, adj)
-            if cut is not None:
-                decomposed = True
-                cut_vs, v1, v2 = cut
-                free_classes: list[int] = []
-                free_verts: list[int] = []
-                for v in sorted(cut_vs):
-                    c = self.class_id.get(v)
-                    if c is None:
-                        if v not in fverts and v not in free_verts:
-                            free_verts.append(v)
-                    elif c not in fclasses and c not in free_classes:
-                        free_classes.append(c)
-                nfree = len(free_classes) + len(free_verts)
-                for combo in product((0, 1), repeat=nfree):
-                    fc2 = dict(fclasses)
-                    fv2 = dict(fverts)
-                    for c, b in zip(free_classes, combo):
-                        fc2[c] = b
-                    for v, b in zip(free_verts, combo[len(free_classes):]):
-                        fv2[v] = 1 if b == 0 else -1
-                    r1 = self._solve(v1 | cut_vs, fc2, fv2)
-                    if r1 is None:
-                        continue
-                    r2 = self._solve(v2 | cut_vs, fc2, fv2)
-                    if r2 is None:
-                        continue
-                    result = (r1[0] | r2[0], r1[1] | r2[1])
-                    break
-        if not decomposed:
+        if cut is not None:
+            cut_vs, side1, side2 = cut
+            free_classes: list[int] = []
+            free_verts: list[int] = []
+            for v in sorted(cut_vs):
+                c = self.class_id.get(v)
+                if c is None:
+                    if v not in fverts and v not in free_verts:
+                        free_verts.append(v)
+                elif c not in fclasses and c not in free_classes:
+                    free_classes.append(c)
+            nfree = len(free_classes) + len(free_verts)
+            for combo in product((0, 1), repeat=nfree):
+                fc2 = dict(fclasses)
+                fv2 = dict(fverts)
+                for c, b in zip(free_classes, combo):
+                    fc2[c] = b
+                for v, b in zip(free_verts, combo[len(free_classes):]):
+                    fv2[v] = 1 if b == 0 else -1
+                r1 = self._solve(side1, fc2, fv2)
+                if r1 is None:
+                    continue
+                r2 = self._solve(side2, fc2, fv2)
+                if r2 is None:
+                    continue
+                result = (r1[0] | r2[0], r1[1] | r2[1])
+                break
+        else:
+            if adj is None:
+                adj = {v: self.adj0[v] & region for v in region}
+            edges = frozenset((v, w) for v in region for w in adj[v] if v < w)
             forced = self._forced_in(region, fclasses, fverts)
             result = _flat_solve(region, edges, adj, forced, self.budget)
         self.memo[key] = result
@@ -711,7 +750,7 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation 
     opts = opts or SolveOptions()
     adj0 = [set(a) for a in g.adj]
     budget = _Budget(opts.node_limit)
-    results = [_ComponentSolver(adj0, g.edges, opts.decompose, budget).solve_root(comp)
+    results = [_ComponentSolver(adj0, opts.decompose, budget).solve_root(comp)
                for comp in connected_components(g)]
     if any(r is None for r in results):
         return None

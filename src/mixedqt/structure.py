@@ -224,6 +224,12 @@ def decide_deg3(g: Graph) -> bool:
     """
     _require_deg3(g)
     reduced, _trace = reduce_removable(g)
+    return _reduced_orientable(reduced)
+
+
+def _reduced_orientable(reduced: Graph) -> bool:
+    """The degree-three test on a graph without removable vertices: no net,
+    and the edges lying in no triangle span a bipartite graph."""
     if find_net(reduced) is not None:
         return False
     tf = triangle_free_edges(reduced)
@@ -234,15 +240,16 @@ def decide_deg3(g: Graph) -> bool:
 def orient_deg3(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation | None:
     """Construct a witness for a degree-three graph, or None when unorientable.
 
-    The no answer comes from :func:`decide_deg3` and stays polynomial; on a
-    yes answer the exact solver orients the reduced graph and the removal
-    trace is replayed backwards.  The solver failing to find a witness the
+    The graph is reduced once.  The no answer comes from the test of
+    :func:`decide_deg3` on the reduced graph and stays polynomial; on a yes
+    answer the exact solver orients the reduced graph and the removal trace
+    is replayed backwards.  The solver failing to find a witness the
     decider promised would be a bug, not a no answer.
     """
     _require_deg3(g)
-    if not decide_deg3(g):
-        return None
     reduced, trace = reduce_removable(g)
+    if not _reduced_orientable(reduced):
+        return None
     sol = decide_qt(reduced, opts)
     if sol is None:
         raise RuntimeError("internal error: no witness found although the "

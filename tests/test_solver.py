@@ -1,18 +1,24 @@
-from itertools import product
+import hashlib
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixedqt.formats import serialize_mixed
 from mixedqt.graphs import (
     Graph,
     MixedGraph,
     complete_graph,
     cycle_graph,
+    edge,
     mixed_square,
     net_graph,
     underlying,
+    undirected_square,
 )
+from mixedqt.reduction import CnfInstance, build_reduction, parse_dimacs
 from mixedqt.solver import (
     BudgetExceeded,
     InducedTwoDipath,
@@ -29,6 +35,13 @@ from mixedqt.solver import (
 )
 
 from conftest import graphs, mixed_graphs
+
+FIXTURES = Path(__file__).parent / "fixtures"
+COMPLETE_5 = CnfInstance(5, tuple(combinations(range(1, 6), 3)))
+
+
+def fixture_formula(name):
+    return parse_dimacs((FIXTURES / name).read_text())
 
 
 def naive_orientations(g):
@@ -218,6 +231,42 @@ class TestDecideQt:
     def test_budget_raises(self):
         with pytest.raises(BudgetExceeded):
             decide_qt(complete_graph(6), SolveOptions(node_limit=1))
+
+    @pytest.mark.parametrize("formula, nodes", [
+        ("fano.cnf", 5571),
+        (COMPLETE_5, 2390),
+    ], ids=["fano", "complete-3-uniform-v5"])
+    def test_node_count_pinned(self, formula, nodes):
+        # both formulas are NAE-unsatisfiable, so the search is exhaustive
+        # and its node count is exactly what the limit has to allow
+        if isinstance(formula, str):
+            formula = fixture_formula(formula)
+        g, _ = build_reduction(formula)
+        assert decide_qt(g, SolveOptions(node_limit=nodes)) is None
+        with pytest.raises(BudgetExceeded) as info:
+            decide_qt(g, SolveOptions(node_limit=nodes - 1))
+        assert info.value.nodes == nodes
+
+    def test_witnesses_pinned(self):
+        # a NO search runs first, so state carried from one call to the
+        # next would show up as a changed witness
+        fano, _ = build_reduction(fixture_formula("fano.cnf"))
+        assert decide_qt(fano) is None
+        one_clause, _ = build_reduction(fixture_formula("one_clause.cnf"))
+        dipath = MixedGraph(64, frozenset(), frozenset((i, i + 1) for i in range(63)))
+        chain = Graph(81, frozenset(
+            e for t in range(40)
+            for e in (edge(2 * t, 2 * t + 1), edge(2 * t + 1, 2 * t + 2), edge(2 * t, 2 * t + 2))))
+        expected = [
+            (one_clause, "b32efe1abd1c8e96e4fb1984798a9f75577d525525d0fae543f3acdf976951bd"),
+            (undirected_square(dipath),
+             "6d4bb63627bddc599a92cd10f65493768054a58ab04f22d8c4a877ce9c3075bf"),
+            (chain, "48d23b9f6f443d00f2ff4f25fe0cba1278744ccc2994d83b16b08427c86045e6"),
+        ]
+        for g, digest in expected:
+            w = decide_qt(g)
+            assert w is not None
+            assert hashlib.sha256(serialize_mixed(w.mixed).encode()).hexdigest() == digest
 
     def test_negative_node_limit_rejected(self):
         with pytest.raises(ValueError):

@@ -215,6 +215,22 @@ class TestDecideDeg3:
             if w is not None:
                 assert verify_witness(g, w.mixed).ok
 
+    def test_orient_deg3_reduces_once(self, monkeypatch):
+        import mixedqt.structure as structure_module
+
+        calls = []
+        real = structure_module.reduce_removable
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(structure_module, "reduce_removable", counting)
+        for g in (complete_graph(4), prism_graph(), net_graph(), path_graph(4)):
+            calls.clear()
+            orient_deg3(g)
+            assert calls == [g]
+
     def test_decision_path_never_searches(self, deg3_corpus, monkeypatch, rng):
         # the boolean decider is reduction + subgraph detection + a
         # 2-colouring; backtracking must never be reached, whatever the size
