@@ -336,17 +336,28 @@ class _Budget:
 
 _KEPT, _FWD, _REV = 1, 2, 4
 _SINGLETONS = {_KEPT, _FWD, _REV}
+_BRANCH_ORDER = (_FWD, _REV, _KEPT)
+# _TWO_LEFT[d]: domain d has exactly two values left
+_TWO_LEFT = (False, False, False, True, False, True, True, False)
 
 
-class _FlatState:
-    """Shared immutable context for one flat search."""
+class _FlatSearch:
+    """The state of one flat search, changed in place and undone by a trail.
 
-    __slots__ = ("elist", "eidx", "adj", "inc", "wedges", "two_sided")
+    Each trail entry records one change: ``j << 3 | old`` restores edge j's
+    domain to ``old`` (never 0), ``j << 3`` takes edge j out of ``applied``
+    and ``~v`` (negative) removes vertex v's polarity.  ``two`` and
+    ``three`` are bitmasks of the edges with two and three values left,
+    kept in step with every domain change and every undo.
+    """
+
+    __slots__ = ("elist", "adj", "inc", "wedges", "two_sided",
+                 "dom", "pol", "applied", "trail", "two", "three")
 
     def __init__(self, vertices: frozenset[int], edges: frozenset[Edge],
                  adj: dict[int, set[int]], forced: dict[int, int]):
         self.elist = sorted(edges)
-        self.eidx = {e: i for i, e in enumerate(self.elist)}
+        eidx = {e: i for i, e in enumerate(self.elist)}
         self.adj = adj
         inc: dict[int, list[int]] = {v: [] for v in vertices}
         for i, (u, v) in enumerate(self.elist):
@@ -358,8 +369,8 @@ class _FlatState:
         for u, v in self.elist:
             ws = []
             for w in sorted(adj[u] & adj[v]):
-                j1 = self.eidx[edge(u, w)]
-                j2 = self.eidx[edge(w, v)]
+                j1 = eidx[edge(u, w)]
+                j2 = eidx[edge(w, v)]
                 b1 = _FWD if u < w else _REV      # orients u -> w
                 b2 = _FWD if w < v else _REV      # orients w -> v
                 ws.append((j1, b1, j2, b2))
@@ -369,164 +380,222 @@ class _FlatState:
                 two_sided.add(v)
         self.wedges = wedges
         self.two_sided = two_sided
+        self.dom = [(_KEPT | _FWD | _REV) if ws else (_FWD | _REV) for ws in wedges]
+        self.pol = dict(forced)
+        self.applied: set[int] = set()
+        self.trail: list[int] = []
+        self.three = sum(1 << i for i, ws in enumerate(wedges) if ws)
+        self.two = ((1 << len(wedges)) - 1) ^ self.three
 
     def arc_bit(self, i: int, tail: int) -> int:
         """Domain bit orienting edge i away from ``tail``."""
         return _FWD if tail == self.elist[i][0] else _REV
 
+    def narrow(self, j: int, nd: int) -> None:
+        """Shrink edge j's domain to ``nd`` and log the old value."""
+        old = self.dom[j]
+        self.trail.append(j << 3 | old)
+        self.dom[j] = nd
+        b = 1 << j
+        if old == 7:
+            self.three ^= b
+        if _TWO_LEFT[old] != _TWO_LEFT[nd]:
+            self.two ^= b
 
-def _supported(st: _FlatState, dom: list[int], i: int) -> bool:
-    for j1, b1, j2, b2 in st.wedges[i]:
-        if dom[j1] & b1 and dom[j2] & b2:
-            return True
-        if dom[j2] & (b2 ^ 6) and dom[j1] & (b1 ^ 6):
-            return True
-    return False
+    def undo(self, mark: int) -> None:
+        """Pop the trail back to ``mark``, restoring every logged change."""
+        dom, trail = self.dom, self.trail
+        two, three = self.two, self.three
+        while len(trail) > mark:
+            e = trail.pop()
+            if e < 0:
+                del self.pol[~e]
+            elif e & 7:
+                j, old = e >> 3, e & 7
+                b = 1 << j
+                if old == 7:
+                    three ^= b
+                if _TWO_LEFT[old] != _TWO_LEFT[dom[j]]:
+                    two ^= b
+                dom[j] = old
+            else:
+                self.applied.discard(e >> 3)
+        self.two, self.three = two, three
 
+    def branch_edge(self) -> int:
+        """The lowest-indexed edge with the fewest values left, or -1 when
+        every edge is decided."""
+        mask = self.two or self.three
+        return (mask & -mask).bit_length() - 1
 
-def _propagate(st: _FlatState, dom: list[int], pol: dict[int, int],
-               applied: set[int], work: list[int]) -> bool:
-    """Run pruning rules to a fixpoint; False on contradiction.
+    def supported(self, i: int) -> bool:
+        dom = self.dom
+        for j1, b1, j2, b2 in self.wedges[i]:
+            if dom[j1] & b1 and dom[j2] & b2:
+                return True
+            if dom[j2] & (b2 ^ 6) and dom[j1] & (b1 ^ 6):
+                return True
+        return False
 
-    ``work`` holds edge indices to (re)examine; vertex polarity assignments
-    are handled inline.  Domains only shrink, so the fixpoint is unique.
-    """
-    vwork: list[int] = []
+    def propagate(self, work: list[int], vwork: list[int]) -> bool:
+        """Run pruning rules to a fixpoint; False on contradiction.
 
-    def clear(j: int, bits: int) -> bool:
-        nd = dom[j] & ~bits
-        if nd == dom[j]:
-            return True
-        dom[j] = nd
-        if nd == 0:
-            return False
-        work.append(j)
-        for x in st.elist[j]:
-            for k in st.inc[x]:
-                if dom[k] & _KEPT:
-                    work.append(k)
-        return True
+        ``work`` holds edge indices to (re)examine and ``vwork`` vertices
+        whose polarity still has to be applied.  Domains only shrink, so the
+        fixpoint is unique.
+        """
+        dom, pol, applied, trail = self.dom, self.pol, self.applied, self.trail
+        elist, inc, adj, two_sided = self.elist, self.inc, self.adj, self.two_sided
+        narrow, arc_bit = self.narrow, self.arc_bit
 
-    def set_pol(v: int, p: int) -> bool:
-        cur = pol.get(v)
-        if cur is not None:
-            return cur == p
-        pol[v] = p
-        vwork.append(v)
-        return True
-
-    for v in list(pol):
-        vwork.append(v)
-
-    while work or vwork:
-        while vwork:
-            v = vwork.pop()
-            p = pol[v]
-            for j in st.inc[v]:
-                # a source admits no incoming arc, a sink no outgoing one
-                other = st.elist[j][1] if st.elist[j][0] == v else st.elist[j][0]
-                forbidden = st.arc_bit(j, other) if p == 1 else st.arc_bit(j, v)
-                if not clear(j, forbidden):
-                    return False
-        if not work:
-            break
-        i = work.pop()
-        d = dom[i]
-        if d == 0:
-            return False
-        if d & _KEPT and not _supported(st, dom, i):
-            if not clear(i, _KEPT):
+        def clear(j: int, bits: int) -> bool:
+            nd = dom[j] & ~bits
+            if nd == dom[j]:
+                return True
+            narrow(j, nd)
+            if nd == 0:
                 return False
+            work.append(j)
+            for x in elist[j]:
+                for k in inc[x]:
+                    if dom[k] & _KEPT:
+                        work.append(k)
+            return True
+
+        def set_pol(v: int, p: int) -> bool:
+            cur = pol.get(v)
+            if cur is not None:
+                return cur == p
+            pol[v] = p
+            trail.append(~v)
+            vwork.append(v)
+            return True
+
+        while work or vwork:
+            while vwork:
+                v = vwork.pop()
+                p = pol[v]
+                for j in inc[v]:
+                    # a source admits no incoming arc, a sink no outgoing one
+                    other = elist[j][1] if elist[j][0] == v else elist[j][0]
+                    forbidden = arc_bit(j, other) if p == 1 else arc_bit(j, v)
+                    if not clear(j, forbidden):
+                        return False
+            if not work:
+                break
+            i = work.pop()
             d = dom[i]
-        if d in _SINGLETONS and i not in applied:
-            applied.add(i)
-            if d != _KEPT:
-                u, v = st.elist[i]
-                a, b = (u, v) if d == _FWD else (v, u)
-                if b in st.two_sided and not set_pol(b, -1):
+            if d == 0:
+                return False
+            if d & _KEPT and not self.supported(i):
+                if not clear(i, _KEPT):
                     return False
-                if a in st.two_sided and not set_pol(a, 1):
-                    return False
-                # arc a -> b: forbid extensions into induced 2-dipaths
-                for j in st.inc[b]:
-                    if j == i:
-                        continue
-                    y = st.elist[j][1] if st.elist[j][0] == b else st.elist[j][0]
-                    if y != a and y not in st.adj[a]:
-                        if not clear(j, st.arc_bit(j, b)):
-                            return False
-                for j in st.inc[a]:
-                    if j == i:
-                        continue
-                    x = st.elist[j][1] if st.elist[j][0] == a else st.elist[j][0]
-                    if x != b and x not in st.adj[b]:
-                        if not clear(j, st.arc_bit(j, x)):
-                            return False
-    return True
+                d = dom[i]
+            if d in _SINGLETONS and i not in applied:
+                applied.add(i)
+                trail.append(i << 3)
+                if d != _KEPT:
+                    u, v = elist[i]
+                    a, b = (u, v) if d == _FWD else (v, u)
+                    if b in two_sided and not set_pol(b, -1):
+                        return False
+                    if a in two_sided and not set_pol(a, 1):
+                        return False
+                    # arc a -> b: forbid extensions into induced 2-dipaths
+                    for j in inc[b]:
+                        if j == i:
+                            continue
+                        y = elist[j][1] if elist[j][0] == b else elist[j][0]
+                        if y != a and y not in adj[a]:
+                            if not clear(j, arc_bit(j, b)):
+                                return False
+                    for j in inc[a]:
+                        if j == i:
+                            continue
+                        x = elist[j][1] if elist[j][0] == a else elist[j][0]
+                        if x != b and x not in adj[b]:
+                            if not clear(j, arc_bit(j, x)):
+                                return False
+        return True
 
+    def is_qt(self) -> bool:
+        """Full quasi-transitivity check of a fully decided assignment."""
+        dom, elist, adj = self.dom, self.elist, self.adj
+        out: dict[int, set[int]] = {v: set() for v in self.inc}
+        inn: dict[int, set[int]] = {v: set() for v in self.inc}
+        for i, (u, v) in enumerate(elist):
+            if dom[i] == _FWD:
+                out[u].add(v)
+                inn[v].add(u)
+            elif dom[i] == _REV:
+                out[v].add(u)
+                inn[u].add(v)
+        for w in self.inc:
+            for u in inn[w]:
+                for v in out[w]:
+                    if u != v and v not in adj[u]:
+                        return False
+        for i, (u, v) in enumerate(elist):
+            if dom[i] == _KEPT and not ((out[u] & inn[v]) or (out[v] & inn[u])):
+                return False
+        return True
 
-def _sub_is_qt(st: _FlatState, dom: list[int]) -> bool:
-    """Full quasi-transitivity check of a fully decided assignment."""
-    out: dict[int, set[int]] = {v: set() for v in st.inc}
-    inn: dict[int, set[int]] = {v: set() for v in st.inc}
-    for i, (u, v) in enumerate(st.elist):
-        if dom[i] == _FWD:
-            out[u].add(v)
-            inn[v].add(u)
-        elif dom[i] == _REV:
-            out[v].add(u)
-            inn[u].add(v)
-    for w in st.inc:
-        for u in inn[w]:
-            for v in out[w]:
-                if u != v and v not in st.adj[u]:
-                    return False
-    for i, (u, v) in enumerate(st.elist):
-        if dom[i] == _KEPT and not ((out[u] & inn[v]) or (out[v] & inn[u])):
-            return False
-    return True
+    def extract(self) -> tuple[frozenset[Edge], frozenset[tuple[int, int]]]:
+        dom, elist = self.dom, self.elist
+        kept = frozenset(e for e, d in zip(elist, dom) if d == _KEPT)
+        arcs = frozenset(e if d == _FWD else (e[1], e[0])
+                         for e, d in zip(elist, dom) if d in (_FWD, _REV))
+        return kept, arcs
 
 
 def _flat_solve(vertices: frozenset[int], edges: frozenset[Edge],
                 adj: dict[int, set[int]], forced: dict[int, int],
                 budget: _Budget) -> tuple[frozenset[Edge], frozenset[tuple[int, int]]] | None:
-    """Backtracking search over edge states with propagation."""
-    st = _FlatState(vertices, edges, adj, forced)
-    m = len(st.elist)
-    dom = [(_FWD | _REV) if not st.wedges[i] else (_KEPT | _FWD | _REV) for i in range(m)]
+    """Depth-first search over edge states with propagation, without recursion.
 
-    def extract(dom_: list[int]):
-        kept = frozenset(st.elist[i] for i in range(m) if dom_[i] == _KEPT)
-        arcs = frozenset(
-            st.elist[i] if dom_[i] == _FWD else (st.elist[i][1], st.elist[i][0])
-            for i in range(m) if dom_[i] in (_FWD, _REV)
-        )
-        return kept, arcs
-
-    def search(dom_: list[int], pol: dict[int, int], applied: set[int]):
-        budget.spend()
-        undecided = [i for i in range(m) if dom_[i] not in _SINGLETONS]
-        if not undecided:
-            return extract(dom_) if _sub_is_qt(st, dom_) else None
-        i = min(undecided, key=lambda j: (bin(dom_[j]).count("1"), j))
-        for value in (_FWD, _REV, _KEPT):
-            if not dom_[i] & value:
+    The search keeps an explicit stack of frames, each holding its branch
+    edge, the index of the next value to try (forward, backward, kept) and
+    its mark on the undo trail of :class:`_FlatSearch`.  Propagation changes
+    the one state in place; backtracking pops the trail back to the frame's
+    mark.  The branch edge is the lowest-indexed edge with the fewest values
+    left, read off the bitmasks of edges with two and with three values.
+    One node is spent at the root after the first propagation and one after
+    each branch value that propagates without contradiction.
+    """
+    s = _FlatSearch(vertices, edges, adj, forced)
+    if not s.propagate(list(range(len(s.elist))), list(s.pol)):
+        return None
+    budget.spend()
+    stack: list[list[int]] = []
+    while True:
+        i = s.branch_edge()
+        if i >= 0:
+            stack.append([i, 0, len(s.trail)])
+        elif s.is_qt():
+            return s.extract()
+        # move the top frame on to its next value that propagates; every
+        # polarity was applied by the time of the frame's mark, so the
+        # propagation starts from the branch edge alone
+        while stack:
+            frame = stack[-1]
+            i, k, mark = frame
+            s.undo(mark)
+            while k < 3:
+                value = _BRANCH_ORDER[k]
+                k += 1
+                if s.dom[i] & value:
+                    s.narrow(i, value)
+                    if s.propagate([i], []):
+                        break
+                    s.undo(mark)
+            else:
+                stack.pop()
                 continue
-            d2 = list(dom_)
-            p2 = dict(pol)
-            a2 = set(applied)
-            d2[i] = value
-            if _propagate(st, d2, p2, a2, [i]):
-                result = search(d2, p2, a2)
-                if result is not None:
-                    return result
-        return None
-
-    pol = dict(forced)
-    applied: set[int] = set()
-    if not _propagate(st, dom, pol, applied, list(range(m))):
-        return None
-    return search(dom, pol, applied)
+            frame[1] = k
+            break
+        else:
+            return None
+        budget.spend()
 
 
 class _ComponentSolver:
@@ -594,11 +663,12 @@ class _ComponentSolver:
     def _solve(self, vertices: frozenset[int], fclasses: dict[int, int],
                fverts: dict[int, int]):
         comps = self.splits.get(vertices)
+        adj = None
         if comps is None:
             adj = {v: self.adj0[v] & vertices for v in vertices}
             comps = self.splits[vertices] = _components_of(set(vertices), adj)
         if len(comps) == 1:
-            return self._component(vertices, fclasses, fverts)
+            return self._component(vertices, fclasses, fverts, adj)
         acc_e: set[Edge] = set()
         acc_a: set[tuple[int, int]] = set()
         for comp in comps:
@@ -621,7 +691,7 @@ class _ComponentSolver:
         return forced
 
     def _component(self, region: frozenset[int], fclasses: dict[int, int],
-                   fverts: dict[int, int]):
+                   fverts: dict[int, int], adj: dict[int, set[int]] | None = None):
         rclasses = self.classes.get(region)
         if rclasses is None:
             rclasses = self.classes[region] = frozenset(
@@ -632,11 +702,11 @@ class _ComponentSolver:
         if key in self.memo:
             return self.memo[key]
         self.budget.spend()
-        adj = None
         if region in self.cuts:
             cut = self.cuts[region]
         else:
-            adj = {v: self.adj0[v] & region for v in region}
+            if adj is None:
+                adj = {v: self.adj0[v] & region for v in region}
             cut = None
             if self.decompose and sum(map(len, adj.values())) > 2 * FLAT_CUTOFF:
                 found = self._find_cut(region, adj)
@@ -711,12 +781,11 @@ def _grow_cut(seed: int, vertices: frozenset[int], adj: dict[int, set[int]]):
     """
     region = {seed}
     boundary = set(adj[seed])
+    rest = vertices - region - boundary
     while True:
-        if not boundary:
+        if not boundary or not rest:
             return None
-        rest = vertices - region - boundary
-        if not rest:
-            return None
+        # the absorb test reads ``rest`` as it stood before the pass
         absorbed = False
         for b in sorted(boundary):
             if not adj[b] & rest:
@@ -725,19 +794,22 @@ def _grow_cut(seed: int, vertices: frozenset[int], adj: dict[int, set[int]]):
                 boundary |= adj[b] - region
                 absorbed = True
         if absorbed:
+            rest -= boundary
             continue
         if len(boundary) <= MAX_CUT_SIZE and not any(
                 adj[a] & boundary for a in boundary):
             return frozenset(boundary), frozenset(region), frozenset(rest)
+        # taking b moves its neighbours in ``rest`` into the boundary
         pick = None
         pick_size = None
         for b in sorted(boundary):
-            grown = (boundary - {b}) | (adj[b] - region - boundary)
-            if pick_size is None or len(grown) < pick_size:
-                pick, pick_size = b, len(grown)
+            size = len(adj[b] & rest)
+            if pick_size is None or size < pick_size:
+                pick, pick_size = b, size
         region.add(pick)
         boundary.discard(pick)
         boundary |= adj[pick] - region
+        rest -= boundary
 
 
 def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation | None:

@@ -5,7 +5,7 @@ import pytest
 
 from mixedqt.cli import run
 from mixedqt.formats import parse_graph, parse_mixed, serialize_graph, serialize_mixed
-from mixedqt.graphs import complete_graph, undirected_square
+from mixedqt.graphs import MixedGraph, complete_graph, undirected_square
 from mixedqt.reduction import parse_assignment
 from mixedqt.solver import verify_witness
 
@@ -52,6 +52,15 @@ class TestDecide:
                     "--witness", str(wfile)]) == 0
         g = parse_graph(Path(fx("c6.graph")).read_text())
         assert verify_witness(g, parse_mixed(wfile.read_text())).ok
+
+    def test_long_dipath_square_witness_verifies(self, tmp_path):
+        # P_1002 squared: 2,001 edges, so the search runs deeper than
+        # Python's default recursion limit would allow a recursive one
+        arcs = frozenset((i, i + 1) for i in range(1001))
+        gfile, wfile = tmp_path / "g.graph", tmp_path / "w.mixed"
+        gfile.write_text(serialize_graph(undirected_square(MixedGraph(1002, arcs=arcs))))
+        assert run(["decide", str(gfile), "--witness", str(wfile)]) == 0
+        assert run(["verify", str(gfile), str(wfile)]) == 0
 
     def test_budget_exit_code(self):
         assert run(["decide", fx("k5.graph"), "--node-limit", "1"]) == 3

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from itertools import combinations, product
 from pathlib import Path
 
@@ -42,6 +43,11 @@ COMPLETE_5 = CnfInstance(5, tuple(combinations(range(1, 6), 3)))
 
 def fixture_formula(name):
     return parse_dimacs((FIXTURES / name).read_text())
+
+
+def dipath_square(n):
+    """P_n squared: the undirected square of the directed path on n vertices."""
+    return undirected_square(MixedGraph(n, arcs=frozenset((i, i + 1) for i in range(n - 1))))
 
 
 def naive_orientations(g):
@@ -232,17 +238,20 @@ class TestDecideQt:
         with pytest.raises(BudgetExceeded):
             decide_qt(complete_graph(6), SolveOptions(node_limit=1))
 
-    @pytest.mark.parametrize("formula, nodes", [
-        ("fano.cnf", 5571),
-        (COMPLETE_5, 2390),
-    ], ids=["fano", "complete-3-uniform-v5"])
-    def test_node_count_pinned(self, formula, nodes):
-        # both formulas are NAE-unsatisfiable, so the search is exhaustive
-        # and its node count is exactly what the limit has to allow
-        if isinstance(formula, str):
-            formula = fixture_formula(formula)
-        g, _ = build_reduction(formula)
-        assert decide_qt(g, SolveOptions(node_limit=nodes)) is None
+    @pytest.mark.parametrize("make, answer, nodes", [
+        (lambda: build_reduction(fixture_formula("fano.cnf"))[0], False, 5571),
+        (lambda: build_reduction(COMPLETE_5)[0], False, 2390),
+        (lambda: dipath_square(256), True, 598),
+        (lambda: dipath_square(300), True, 698),
+        (lambda: dipath_square(402), True, 936),
+    ], ids=["fano", "complete-3-uniform-v5", "dipath-square-256", "dipath-square-300",
+            "dipath-square-402"])
+    def test_node_count_pinned(self, make, answer, nodes):
+        # the two formulas are NAE-unsatisfiable, so their search is
+        # exhaustive; the squares stop at their first witness.  Either way
+        # the node count is exactly what the limit has to allow
+        g = make()
+        assert (decide_qt(g, SolveOptions(node_limit=nodes)) is not None) == answer
         with pytest.raises(BudgetExceeded) as info:
             decide_qt(g, SolveOptions(node_limit=nodes - 1))
         assert info.value.nodes == nodes
@@ -253,20 +262,35 @@ class TestDecideQt:
         fano, _ = build_reduction(fixture_formula("fano.cnf"))
         assert decide_qt(fano) is None
         one_clause, _ = build_reduction(fixture_formula("one_clause.cnf"))
-        dipath = MixedGraph(64, frozenset(), frozenset((i, i + 1) for i in range(63)))
         chain = Graph(81, frozenset(
             e for t in range(40)
             for e in (edge(2 * t, 2 * t + 1), edge(2 * t + 1, 2 * t + 2), edge(2 * t, 2 * t + 2))))
         expected = [
             (one_clause, "b32efe1abd1c8e96e4fb1984798a9f75577d525525d0fae543f3acdf976951bd"),
-            (undirected_square(dipath),
+            (dipath_square(64),
              "6d4bb63627bddc599a92cd10f65493768054a58ab04f22d8c4a877ce9c3075bf"),
             (chain, "48d23b9f6f443d00f2ff4f25fe0cba1278744ccc2994d83b16b08427c86045e6"),
+            (dipath_square(256),
+             "a94cccc7303493a47fba635128b0ac643a55578db2d438996ef09a093894bd87"),
+            (dipath_square(402),
+             "5fe18187361a8f7d4d3f87c0eaf4074f015ddc9fc07c8867ade9afb5d053e048"),
         ]
         for g, digest in expected:
             w = decide_qt(g)
             assert w is not None
             assert hashlib.sha256(serialize_mixed(w.mixed).encode()).hexdigest() == digest
+
+    def test_long_dipath_square_at_default_recursion_limit(self):
+        # 2,001 edges, so the search runs deeper than Python's default
+        # recursion limit would allow a recursive one
+        g = dipath_square(1002)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            w = decide_qt(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert w is not None and verify_witness(g, w.mixed).ok
 
     def test_negative_node_limit_rejected(self):
         with pytest.raises(ValueError):
