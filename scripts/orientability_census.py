@@ -5,11 +5,13 @@ Sweeps every connected graph up to a vertex bound (one representative per
 isomorphism class), under a degree-3 bound or a triangle-free restriction,
 and tabulates how many admit a quasi-transitive partial orientation.  Every
 graph is decided three ways (polynomial decider, exact solver, exhaustive
-enumeration where the edge cap allows) and disagreements are reported.
+enumeration where the edge cap allows) and disagreements are reported; the
+exit status is 1 when there is any.
 """
 
 import argparse
 import math
+import sys
 import time
 from collections import Counter
 
@@ -19,7 +21,7 @@ from mixedqt.solver import ENUMERATION_EDGE_CAP, decide_qt, enumerate_qt
 from mixedqt.structure import decide_deg3, decide_girth4, removable_vertices
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=7)
     parser.add_argument("--family", choices=["deg3", "triangle-free"], default="deg3")
@@ -67,7 +69,8 @@ def main() -> None:
         finite = [girth(g) for g in connected_graphs(args.max_n, triangle_free=True)
                   if girth(g) is not math.inf]
         print(f"girth range among non-forests: {min(finite)}..{max(finite)}")
+    return 1 if disagreements else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 Edge = tuple[int, int]
 Arc = tuple[int, int]
@@ -225,23 +225,7 @@ def edge_subgraph(g: Graph, x: Iterable[Edge]) -> tuple[Graph, tuple[int, ...]]:
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Vertex sets of the connected components, sorted by smallest member."""
-    seen = [False] * g.n
-    comps = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        comp = {root}
-        seen[root] = True
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(frozenset(comp))
-    return comps
+    return _components_of(set(range(g.n)), g.adj)
 
 
 def is_connected(g: Graph) -> bool:
@@ -395,12 +379,16 @@ def cut_vertices(g: Graph) -> frozenset[int]:
     return frozenset(_articulation_points(range(g.n), adj))
 
 
-def _components_of(vertices: set[int], adj: dict[int, set[int]]) -> list[frozenset[int]]:
-    """Connected components of the subgraph induced on ``vertices``."""
+def _components_of(vertices: Iterable[int],
+                   adj: Mapping[int, AbstractSet[int]] | Sequence[AbstractSet[int]]
+                   ) -> list[frozenset[int]]:
+    """Connected components of the subgraph induced on ``vertices``, sorted
+    by smallest member; ``adj`` maps each vertex to its neighbours."""
     left = set(vertices)
     comps = []
-    while left:
-        root = min(left)
+    for root in sorted(left):
+        if root not in left:
+            continue
         comp = {root}
         stack = [root]
         left.discard(root)
@@ -412,7 +400,7 @@ def _components_of(vertices: set[int], adj: dict[int, set[int]]) -> list[frozens
                     comp.add(w)
                     stack.append(w)
         comps.append(frozenset(comp))
-    return sorted(comps, key=min)
+    return comps
 
 
 VertexCut = tuple[frozenset[int], frozenset[int], frozenset[int]]

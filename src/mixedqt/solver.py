@@ -42,8 +42,10 @@ from .graphs import (
     MixedGraph,
     _articulation_points,
     _components_of,
+    _two_colour,
     connected_components,
     edge,
+    triangle_free_edges,
     underlying,
 )
 
@@ -307,14 +309,11 @@ class SolveOptions:
 
     ``node_limit`` bounds the number of search nodes before raising
     :class:`BudgetExceeded`; None means unbounded, negative values are
-    rejected.  ``decompose`` enables the independent-cut decomposition (see
-    ``FLAT_CUTOFF``, ``MAX_CUT_SIZE`` and ``CUT_SEARCH_LIMIT``); without it
-    every connected component goes to one flat search, which serves as the
-    reference path.
+    rejected.  A NO that needs no search (an odd cycle of triangle-free
+    edges) is returned whatever the limit.
     """
 
     node_limit: int | None = None
-    decompose: bool = True
 
     def __post_init__(self) -> None:
         if self.node_limit is not None and self.node_limit < 0:
@@ -599,155 +598,102 @@ def _flat_solve(vertices: frozenset[int], edges: frozenset[Edge],
 
 
 class _ComponentSolver:
-    """Cut decomposition within one connected component.
+    """Cut decomposition of one graph, for one :func:`decide_qt` call.
 
     Every vertex incident to a triangle-free edge must be a source or a
     sink, and polarities alternate along triangle-free edges; so each
     connected piece of the triangle-free edge subgraph is a polarity class
-    whose members are all decided by one bit.  Cut constraints are recorded
-    on class bits where possible, which keeps memo keys small when the same
-    class meets many cuts, and classes with an odd cycle settle the whole
-    component negatively up front.
+    whose members are all decided by one bit, and a vertex on no
+    triangle-free edge is a class of its own.  ``class_id`` and ``parity``
+    give each vertex its class and its colour in the 2-colouring of that
+    subgraph.  Cut patterns are recorded on class bits, which keeps memo
+    keys small when the same class meets many cuts.
 
     Splitting a region at an independent cut is complete because every cut
     vertex is a source or a sink (see the module docstring), so the sides
-    share nothing but the source/sink pattern on the cut.  What depends on a
-    vertex set alone (its connected components, the polarity classes meeting
-    it, and its cut with each side joined to the cut) is cached on the
-    instance, so it is computed once per :func:`decide_qt` call and shared
-    by every cut pattern.
+    share nothing but the source/sink pattern on the cut.  The region table
+    holds what depends on a vertex set alone: its connected components when
+    there is not exactly one, else the classes meeting it and its cut (the
+    cut's classes in branching order, and both sides joined to the cut), or
+    None for a flat region.  An entry is filled when its set is first seen,
+    so each set is analysed once per call; the adjacency dict that analysis
+    builds is dropped before the search goes on.
     """
 
-    def __init__(self, adj0: list[set[int]], decompose: bool, budget: _Budget):
-        self.adj0 = adj0
-        self.decompose = decompose
+    def __init__(self, g: Graph, tf: Graph, parity: dict[int, int], budget: _Budget):
+        self.adj0 = [set(a) for a in g.adj]
+        self.tf_adj = tf.adj
+        self.class_id = [0] * g.n
+        for c, comp in enumerate(connected_components(tf)):
+            for v in comp:
+                self.class_id[v] = c
+        self.parity = parity
         self.budget = budget
         self.memo: dict = {}
-        self.class_id: dict[int, int] = {}
-        self.parity: dict[int, int] = {}
-        # What depends on a vertex set alone, keyed by that frozenset.
-        self.splits: dict[frozenset[int], list[frozenset[int]]] = {}
-        self.classes: dict[frozenset[int], frozenset[int]] = {}
-        self.cuts: dict[frozenset[int], tuple[frozenset[int], frozenset[int],
-                                              frozenset[int]] | None] = {}
+        self.regions: dict[frozenset[int], tuple] = {}
 
-    def solve_root(self, comp: frozenset[int]):
-        adj = {v: self.adj0[v] & comp for v in comp}
-        tf_adj: dict[int, set[int]] = {v: set() for v in comp}
-        for v in sorted(comp):
-            for w in adj[v]:
-                if v < w and not adj[v] & adj[w]:
-                    tf_adj[v].add(w)
-                    tf_adj[w].add(v)
-        cid = 0
-        for root in sorted(comp):
-            if root in self.class_id or not tf_adj[root]:
-                continue
-            self.class_id[root] = cid
-            self.parity[root] = 0
-            queue = [root]
-            head = 0
-            while head < len(queue):
-                v = queue[head]
-                head += 1
-                for w in sorted(tf_adj[v]):
-                    if w not in self.class_id:
-                        self.class_id[w] = cid
-                        self.parity[w] = self.parity[v] ^ 1
-                        queue.append(w)
-                    elif self.parity[w] == self.parity[v]:
-                        return None  # odd cycle of forced arcs: no orientation
-            cid += 1
-        return self._solve(comp, {}, {})
+    def _region(self, vertices: frozenset[int]) -> tuple:
+        entry = self.regions.get(vertices)
+        if entry is not None:
+            return entry
+        adj = {v: self.adj0[v] & vertices for v in vertices}
+        comps = _components_of(vertices, adj)
+        if len(comps) != 1:
+            entry = (comps, None, None)
+        else:
+            cut = None
+            if sum(map(len, adj.values())) > 2 * FLAT_CUTOFF:
+                found = self._find_cut(vertices, adj)
+                if found is not None:
+                    cut_vs, v1, v2 = found
+                    # classes of triangle-free edges branch before lone vertices
+                    order = sorted(cut_vs, key=lambda v: (not self.tf_adj[v], v))
+                    cut_classes = tuple(dict.fromkeys(self.class_id[v] for v in order))
+                    cut = (cut_classes, v1 | cut_vs, v2 | cut_vs)
+            entry = (None, frozenset(self.class_id[v] for v in vertices), cut)
+        self.regions[vertices] = entry
+        return entry
 
-    def _solve(self, vertices: frozenset[int], fclasses: dict[int, int],
-               fverts: dict[int, int]):
-        comps = self.splits.get(vertices)
-        adj = None
-        if comps is None:
-            adj = {v: self.adj0[v] & vertices for v in vertices}
-            comps = self.splits[vertices] = _components_of(set(vertices), adj)
-        if len(comps) == 1:
-            return self._component(vertices, fclasses, fverts, adj)
-        acc_e: set[Edge] = set()
-        acc_a: set[tuple[int, int]] = set()
-        for comp in comps:
-            sub = self._component(comp, fclasses, fverts)
-            if sub is None:
-                return None
-            acc_e |= sub[0]
-            acc_a |= sub[1]
-        return frozenset(acc_e), frozenset(acc_a)
-
-    def _forced_in(self, region: frozenset[int], fclasses: dict[int, int],
-                   fverts: dict[int, int]) -> dict[int, int]:
-        forced: dict[int, int] = {}
-        for v in region:
-            c = self.class_id.get(v)
-            if c is not None and c in fclasses:
-                forced[v] = 1 if self.parity[v] == fclasses[c] else -1
-            elif v in fverts:
-                forced[v] = fverts[v]
-        return forced
-
-    def _component(self, region: frozenset[int], fclasses: dict[int, int],
-                   fverts: dict[int, int], adj: dict[int, set[int]] | None = None):
-        rclasses = self.classes.get(region)
-        if rclasses is None:
-            rclasses = self.classes[region] = frozenset(
-                self.class_id[v] for v in region if v in self.class_id)
-        key = (region,
-               tuple(sorted((c, b) for c, b in fclasses.items() if c in rclasses)),
-               tuple(sorted((v, p) for v, p in fverts.items() if v in region)))
+    def solve(self, vertices: frozenset[int], fclasses: dict[int, int]):
+        """Kept edges and arcs orienting ``vertices``, or None, given the
+        bits already fixed for some classes."""
+        comps, classes, cut = self._region(vertices)
+        if comps is not None:
+            acc_e: set[Edge] = set()
+            acc_a: set[tuple[int, int]] = set()
+            for comp in comps:
+                sub = self.solve(comp, fclasses)
+                if sub is None:
+                    return None
+                acc_e |= sub[0]
+                acc_a |= sub[1]
+            return frozenset(acc_e), frozenset(acc_a)
+        key = (vertices, tuple(sorted((c, b) for c, b in fclasses.items() if c in classes)))
         if key in self.memo:
             return self.memo[key]
         self.budget.spend()
-        if region in self.cuts:
-            cut = self.cuts[region]
-        else:
-            if adj is None:
-                adj = {v: self.adj0[v] & region for v in region}
-            cut = None
-            if self.decompose and sum(map(len, adj.values())) > 2 * FLAT_CUTOFF:
-                found = self._find_cut(region, adj)
-                if found is not None:
-                    cut_vs, v1, v2 = found
-                    cut = (cut_vs, v1 | cut_vs, v2 | cut_vs)
-            self.cuts[region] = cut
         result = None
         if cut is not None:
-            cut_vs, side1, side2 = cut
-            free_classes: list[int] = []
-            free_verts: list[int] = []
-            for v in sorted(cut_vs):
-                c = self.class_id.get(v)
-                if c is None:
-                    if v not in fverts and v not in free_verts:
-                        free_verts.append(v)
-                elif c not in fclasses and c not in free_classes:
-                    free_classes.append(c)
-            nfree = len(free_classes) + len(free_verts)
-            for combo in product((0, 1), repeat=nfree):
+            cut_classes, side1, side2 = cut
+            free = [c for c in cut_classes if c not in fclasses]
+            for combo in product((0, 1), repeat=len(free)):
                 fc2 = dict(fclasses)
-                fv2 = dict(fverts)
-                for c, b in zip(free_classes, combo):
-                    fc2[c] = b
-                for v, b in zip(free_verts, combo[len(free_classes):]):
-                    fv2[v] = 1 if b == 0 else -1
-                r1 = self._solve(side1, fc2, fv2)
+                fc2.update(zip(free, combo))
+                r1 = self.solve(side1, fc2)
                 if r1 is None:
                     continue
-                r2 = self._solve(side2, fc2, fv2)
+                r2 = self.solve(side2, fc2)
                 if r2 is None:
                     continue
                 result = (r1[0] | r2[0], r1[1] | r2[1])
                 break
         else:
-            if adj is None:
-                adj = {v: self.adj0[v] & region for v in region}
-            edges = frozenset((v, w) for v in region for w in adj[v] if v < w)
-            forced = self._forced_in(region, fclasses, fverts)
-            result = _flat_solve(region, edges, adj, forced, self.budget)
+            adj = {v: self.adj0[v] & vertices for v in vertices}
+            edges = frozenset((v, w) for v in vertices for w in adj[v] if v < w)
+            class_id, parity = self.class_id, self.parity
+            forced = {v: 1 if parity[v] == fclasses[class_id[v]] else -1
+                      for v in vertices if class_id[v] in fclasses}
+            result = _flat_solve(vertices, edges, adj, forced, self.budget)
         self.memo[key] = result
         return result
 
@@ -820,12 +766,12 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation 
     which is distinct from a NO answer.
     """
     opts = opts or SolveOptions()
-    adj0 = [set(a) for a in g.adj]
-    budget = _Budget(opts.node_limit)
-    results = [_ComponentSolver(adj0, opts.decompose, budget).solve_root(comp)
-               for comp in connected_components(g)]
-    if any(r is None for r in results):
+    tf = Graph(g.n, triangle_free_edges(g))
+    parity, _parent, clash = _two_colour(tf)
+    if clash is not None:
+        return None  # an odd cycle of forced arcs: no orientation
+    solver = _ComponentSolver(g, tf, parity, _Budget(opts.node_limit))
+    result = solver.solve(frozenset(range(g.n)), {})
+    if result is None:
         return None
-    edges = frozenset().union(*(r[0] for r in results)) if results else frozenset()
-    arcs = frozenset().union(*(r[1] for r in results)) if results else frozenset()
-    return PartialOrientation(g, MixedGraph(g.n, edges, arcs))
+    return PartialOrientation(g, MixedGraph(g.n, *result))

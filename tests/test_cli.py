@@ -5,7 +5,7 @@ import pytest
 
 from mixedqt.cli import run
 from mixedqt.formats import parse_graph, parse_mixed, serialize_graph, serialize_mixed
-from mixedqt.graphs import MixedGraph, complete_graph, undirected_square
+from mixedqt.graphs import Graph, MixedGraph, complete_graph, edge, undirected_square
 from mixedqt.reduction import parse_assignment
 from mixedqt.solver import verify_witness
 
@@ -64,6 +64,15 @@ class TestDecide:
 
     def test_budget_exit_code(self):
         assert run(["decide", fx("k5.graph"), "--node-limit", "1"]) == 3
+
+    def test_no_answer_needs_no_budget(self, tmp_path, capsys):
+        # K6 plus C5: the triangle-free odd cycle answers NO before any search
+        c5 = {edge(6 + i, 6 + (i + 1) % 5) for i in range(5)}
+        k6_c5 = Graph(11, complete_graph(6).edges | c5)
+        gfile = tmp_path / "g.graph"
+        gfile.write_text(serialize_graph(k6_c5))
+        assert run(["decide", str(gfile), "--method", "exact", "--node-limit", "1"]) == 1
+        assert capsys.readouterr().out.strip() == "NO"
 
     @pytest.mark.parametrize("name", ["c5.graph", "k5.graph"])
     def test_negative_node_limit_is_usage_error(self, name):

@@ -1,5 +1,6 @@
 import hashlib
 import sys
+from collections import Counter
 from itertools import combinations, product
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedqt.formats import serialize_mixed
+from mixedqt.generate import random_connected_graph
 from mixedqt.graphs import (
     Graph,
     MixedGraph,
@@ -27,6 +29,7 @@ from mixedqt.solver import (
     SolveOptions,
     UncoveredEdge,
     VertexStatus,
+    _ComponentSolver,
     decide_qt,
     enumerate_qt,
     is_qt,
@@ -48,6 +51,31 @@ def fixture_formula(name):
 def dipath_square(n):
     """P_n squared: the undirected square of the directed path on n vertices."""
     return undirected_square(MixedGraph(n, arcs=frozenset((i, i + 1) for i in range(n - 1))))
+
+
+def disjoint_union(a, b):
+    return Graph(a.n + b.n, a.edges | {(u + a.n, v + a.n) for u, v in b.edges})
+
+
+def glued_pair(rng):
+    """Two random connected pieces of 4-6 vertices and maximum degree 4,
+    identified at 1-3 vertices independent in both, with 11-16 edges."""
+    while True:
+        a = random_connected_graph(rng.randint(4, 6), 4, rng)
+        b = random_connected_graph(rng.randint(4, 6), 4, rng)
+        if not 11 <= len(a.edges) + len(b.edges) <= 16:
+            continue
+        k = rng.randint(1, 3)
+        sa = [s for s in combinations(range(a.n), k)
+              if not any(a.has_edge(u, v) for u, v in combinations(s, 2))]
+        sb = [s for s in combinations(range(b.n), k)
+              if not any(b.has_edge(u, v) for u, v in combinations(s, 2))]
+        if not sa or not sb:
+            continue
+        glue = dict(zip(rng.choice(sb), rng.choice(sa)))
+        rest = [v for v in range(b.n) if v not in glue]
+        glue.update((v, a.n + i) for i, v in enumerate(rest))
+        return Graph(a.n + len(rest), a.edges | {edge(glue[u], glue[v]) for u, v in b.edges})
 
 
 def naive_orientations(g):
@@ -220,11 +248,27 @@ class TestDecideQt:
         g = complete_graph(5)
         assert decide_qt(g).mixed == decide_qt(g).mixed
 
-    def test_decomposition_matches_flat(self, deg3_corpus, rng):
-        flat = SolveOptions(decompose=False)
-        sample = rng.sample(deg3_corpus, 40)
-        for g in sample:
-            assert (decide_qt(g) is None) == (decide_qt(g, flat) is None)
+    def test_decomposition_agrees_with_enumeration(self, rng, monkeypatch):
+        # glued pairs have 11-16 edges, more than FLAT_CUTOFF, so their
+        # search goes through the cut decomposition
+        cut_sizes = Counter()
+        find_cut = _ComponentSolver._find_cut
+
+        def spy(self, vertices, adj):
+            found = find_cut(self, vertices, adj)
+            if found is not None:
+                cut_sizes[len(found[0])] += 1
+            return found
+
+        monkeypatch.setattr(_ComponentSolver, "_find_cut", spy)
+        for _ in range(200):
+            g = glued_pair(rng)
+            expected = next(iter(enumerate_qt(g)), None) is not None
+            w = decide_qt(g)
+            assert (w is not None) == expected
+            if w is not None:
+                assert verify_witness(g, w.mixed).ok
+        assert set(cut_sizes) == {1, 2, 3}
 
     def test_agrees_with_enumeration(self, deg3_corpus):
         for g in deg3_corpus:
@@ -237,6 +281,14 @@ class TestDecideQt:
     def test_budget_raises(self):
         with pytest.raises(BudgetExceeded):
             decide_qt(complete_graph(6), SolveOptions(node_limit=1))
+
+    @pytest.mark.parametrize("g", [
+        disjoint_union(complete_graph(6), cycle_graph(5)),
+        disjoint_union(cycle_graph(5), complete_graph(6)),
+    ], ids=["k6-c5", "c5-k6"])
+    def test_no_before_budget(self, g):
+        # the triangle-free C5 settles the whole graph before K6 is searched
+        assert decide_qt(g, SolveOptions(node_limit=1)) is None
 
     @pytest.mark.parametrize("make, answer, nodes", [
         (lambda: build_reduction(fixture_formula("fano.cnf"))[0], False, 5571),
@@ -284,6 +336,19 @@ class TestDecideQt:
         # 2,001 edges, so the search runs deeper than Python's default
         # recursion limit would allow a recursive one
         g = dipath_square(1002)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            w = decide_qt(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert w is not None and verify_witness(g, w.mixed).ok
+
+    def test_long_triangle_chain_at_default_recursion_limit(self):
+        # 600 triangles glued at cut vertices: 600 levels of decomposition
+        g = Graph(1201, frozenset(
+            e for t in range(600)
+            for e in (edge(2 * t, 2 * t + 1), edge(2 * t + 1, 2 * t + 2), edge(2 * t, 2 * t + 2))))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
