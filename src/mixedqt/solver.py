@@ -10,23 +10,38 @@ The exact solver assigns each edge one of three states (kept as an edge,
 oriented forward, oriented backward) and searches with constraint
 propagation.  Edges lying in no triangle must become arcs and their endpoints
 must be sources or sinks, which drives an alternating propagation along
-triangle-free paths.  Independent vertex cuts of size at most three split the
-search into independent sides that only communicate through the source/sink
-pattern on the cut, and those side problems are memoised.
+triangle-free paths.
 
-The split rests on one structural fact: in every quasi-transitive partial
-orientation, each vertex of an independent cut (with neighbours on both
-sides) is a source or a sink.  It has an arc, because a kept edge is covered
-by a 2-dipath through both its ends.  It is not internal: an in-arc and an
-out-arc on opposite sides form an induced 2-dipath.  With both on one side,
-an edge to the other side can be neither an arc nor a kept edge: a kept
-edge's covering 2-dipath passes through a common neighbour, which lies on
-that other side too, and any arc at the cut vertex to that side would form
-an induced 2-dipath with one of the first two arcs.  So no 2-dipath has a
-cut vertex in the middle, every 2-dipath and every covering stays within
-one side plus the cut, and enumerating the source/sink patterns on the cut
-is complete.  A region's split into connected components and its cut are
-computed once per :func:`decide_qt` call and reused for every pattern.
+The search rests on one fact: a source or a sink is never the middle of a
+2-dipath.  So fix a source/sink polarity on every vertex of any set S.  Then
+every 2-dipath and every covering 2-dipath lies inside one component C of
+G - S together with C's neighbours in S, and the instance is orientable
+exactly when adjacent vertices of S have opposite polarities and each such
+region is orientable under the fixed polarities.  An edge between two
+vertices of S becomes the arc from the source to the sink: that arc lies on
+no 2-dipath, and a kept edge there would cover nothing.
+
+:func:`decide_qt` splits at S = the vertices on triangle-free edges, whose
+polarities are forced.  Adjacent vertices of S alternate, so each connected
+piece of the graph S induces is a polarity class decided by one bit, and an
+odd cycle there is a NO before any search.  The class bits are searched;
+each region between them is a constraint over the classes it touches,
+decided lazily by the region solver.  A component of G - S that touches no
+class is solved directly.
+
+Inside a region the split is applied to independent vertex cuts of size at
+most three, the special case where a pattern loop fixes the cut.  In every
+quasi-transitive partial orientation, each vertex of an independent cut
+(with neighbours on both sides) is a source or a sink.  It has an arc,
+because a kept edge is covered by a 2-dipath through both its ends.  It is
+not internal: an in-arc and an out-arc on opposite sides form an induced
+2-dipath.  With both on one side, an edge to the other side can be neither
+an arc nor a kept edge: a kept edge's covering 2-dipath passes through a
+common neighbour, which lies on that other side too, and any arc at the cut
+vertex to that side would form an induced 2-dipath with one of the first two
+arcs.  So enumerating the source/sink patterns on the cut is complete, and
+the side problems are memoised.  A region's cut is computed once per
+:func:`decide_qt` call and reused for every pattern.
 """
 
 from __future__ import annotations
@@ -309,8 +324,8 @@ class SolveOptions:
 
     ``node_limit`` bounds the number of search nodes before raising
     :class:`BudgetExceeded`; None means unbounded, negative values are
-    rejected.  A NO that needs no search (an odd cycle of triangle-free
-    edges) is returned whatever the limit.
+    rejected.  A NO that needs no search (an odd cycle of edges between
+    vertices on triangle-free edges) is returned whatever the limit.
     """
 
     node_limit: int | None = None
@@ -598,33 +613,31 @@ def _flat_solve(vertices: frozenset[int], edges: frozenset[Edge],
 
 
 class _ComponentSolver:
-    """Cut decomposition of one graph, for one :func:`decide_qt` call.
+    """The region solver of one :func:`decide_qt` call.
 
-    Every vertex incident to a triangle-free edge must be a source or a
-    sink, and polarities alternate along triangle-free edges; so each
-    connected piece of the triangle-free edge subgraph is a polarity class
-    whose members are all decided by one bit, and a vertex on no
-    triangle-free edge is a class of its own.  ``class_id`` and ``parity``
-    give each vertex its class and its colour in the 2-colouring of that
-    subgraph.  Cut patterns are recorded on class bits, which keeps memo
-    keys small when the same class meets many cuts.
+    Fixing the polarity of any vertex set splits the instance there (see the
+    module docstring).  The vertices on triangle-free edges are fixed by
+    their class bits, and each connected piece of the graph they induce is a
+    polarity class; a vertex outside them is a class of its own.
+    ``class_id`` and ``parity`` give each vertex its class and its colour in
+    the 2-colouring of that graph.  Cut patterns are recorded on class
+    bits, which keeps memo keys small when the same class meets many cuts.
 
-    Splitting a region at an independent cut is complete because every cut
-    vertex is a source or a sink (see the module docstring), so the sides
-    share nothing but the source/sink pattern on the cut.  The region table
-    holds what depends on a vertex set alone: its connected components when
-    there is not exactly one, else the classes meeting it and its cut (the
-    cut's classes in branching order, and both sides joined to the cut), or
-    None for a flat region.  An entry is filled when its set is first seen,
-    so each set is analysed once per call; the adjacency dict that analysis
-    builds is dropped before the search goes on.
+    An independent cut is the special case where a pattern loop fixes the
+    cut's vertices, so the sides share nothing but that pattern.  Every
+    region is connected: :func:`decide_qt` hands over connected sets, and
+    each side of a cut stays connected through the cut.  The region table
+    holds what depends on a vertex set alone: the classes meeting it and its
+    cut (the cut's classes, and both sides joined to the cut), or None for a
+    flat region.  An entry is filled when its set is first seen, so each set
+    is analysed once per call; the adjacency dict that analysis builds is
+    dropped before the search goes on.
     """
 
-    def __init__(self, g: Graph, tf: Graph, parity: dict[int, int], budget: _Budget):
+    def __init__(self, g: Graph, fixed_graph: Graph, parity: dict[int, int], budget: _Budget):
         self.adj0 = [set(a) for a in g.adj]
-        self.tf_adj = tf.adj
         self.class_id = [0] * g.n
-        for c, comp in enumerate(connected_components(tf)):
+        for c, comp in enumerate(connected_components(fixed_graph)):
             for v in comp:
                 self.class_id[v] = c
         self.parity = parity
@@ -637,37 +650,21 @@ class _ComponentSolver:
         if entry is not None:
             return entry
         adj = {v: self.adj0[v] & vertices for v in vertices}
-        comps = _components_of(vertices, adj)
-        if len(comps) != 1:
-            entry = (comps, None, None)
-        else:
-            cut = None
-            if sum(map(len, adj.values())) > 2 * FLAT_CUTOFF:
-                found = self._find_cut(vertices, adj)
-                if found is not None:
-                    cut_vs, v1, v2 = found
-                    # classes of triangle-free edges branch before lone vertices
-                    order = sorted(cut_vs, key=lambda v: (not self.tf_adj[v], v))
-                    cut_classes = tuple(dict.fromkeys(self.class_id[v] for v in order))
-                    cut = (cut_classes, v1 | cut_vs, v2 | cut_vs)
-            entry = (None, frozenset(self.class_id[v] for v in vertices), cut)
+        cut = None
+        if sum(map(len, adj.values())) > 2 * FLAT_CUTOFF:
+            found = self._find_cut(vertices, adj)
+            if found is not None:
+                cut_vs, v1, v2 = found
+                cut_classes = tuple(dict.fromkeys(self.class_id[v] for v in sorted(cut_vs)))
+                cut = (cut_classes, v1 | cut_vs, v2 | cut_vs)
+        entry = (frozenset(self.class_id[v] for v in vertices), cut)
         self.regions[vertices] = entry
         return entry
 
     def solve(self, vertices: frozenset[int], fclasses: dict[int, int]):
-        """Kept edges and arcs orienting ``vertices``, or None, given the
-        bits already fixed for some classes."""
-        comps, classes, cut = self._region(vertices)
-        if comps is not None:
-            acc_e: set[Edge] = set()
-            acc_a: set[tuple[int, int]] = set()
-            for comp in comps:
-                sub = self.solve(comp, fclasses)
-                if sub is None:
-                    return None
-                acc_e |= sub[0]
-                acc_a |= sub[1]
-            return frozenset(acc_e), frozenset(acc_a)
+        """Kept edges and arcs orienting the connected set ``vertices``, or
+        None, given the bits already fixed for some classes."""
+        classes, cut = self._region(vertices)
         key = (vertices, tuple(sorted((c, b) for c, b in fclasses.items() if c in classes)))
         if key in self.memo:
             return self.memo[key]
@@ -758,6 +755,72 @@ def _grow_cut(seed: int, vertices: frozenset[int], adj: dict[int, set[int]]):
         rest -= boundary
 
 
+def _search_classes(solver: _ComponentSolver,
+                    constraints: list[tuple[frozenset[int], tuple[int, ...]]]
+                    ) -> dict[int, int] | None:
+    """Bits for the classes the constraints touch under which every
+    constraint's region is orientable, or None when there are none.
+
+    A constraint is a region with the classes of its fixed vertices; its
+    table is decided lazily by :meth:`_ComponentSolver.solve`, whose memo
+    keeps every entry.  A class in no constraint is left out and reads as 0.
+    Classes that share no constraint, directly or through other classes, are
+    searched one group after another.  Within a group the search runs on an
+    explicit stack of frames, each holding a class and the next bit to try.
+    It branches on the free class that completes the most constraints, then
+    on the one in the most constraints, and checks each constraint as soon
+    as its last class is set.  One node is spent per bit tried.
+    """
+    watch: dict[int, list[int]] = {}
+    for k, (_region, scope) in enumerate(constraints):
+        for c in scope:
+            watch.setdefault(c, []).append(k)
+    unset = [len(scope) for _region, scope in constraints]
+    bits: dict[int, int] = {}
+
+    def consistent(c: int) -> bool:
+        for k in watch[c]:
+            if not unset[k]:
+                region, scope = constraints[k]
+                if solver.solve(region, {x: bits[x] for x in scope}) is None:
+                    return False
+        return True
+
+    def urgency(c: int) -> tuple[int, int, int]:
+        return sum(unset[k] == 1 for k in watch[c]), len(watch[c]), -c
+
+    linked = {c: {x for k in ks for x in constraints[k][1]} for c, ks in watch.items()}
+    for group in _components_of(watch, linked):
+        stack: list[list[int]] = []
+        while True:
+            free = [c for c in group if c not in bits]
+            if not free:
+                break
+            stack.append([max(free, key=urgency), 0])
+            # move the top frame on to its next bit that keeps every
+            # complete constraint orientable
+            while stack:
+                frame = stack[-1]
+                c, b = frame
+                if c in bits:
+                    del bits[c]
+                    for k in watch[c]:
+                        unset[k] += 1
+                if b == 2:
+                    stack.pop()
+                    continue
+                frame[1] = b + 1
+                solver.budget.spend()
+                bits[c] = b
+                for k in watch[c]:
+                    unset[k] -= 1
+                if consistent(c):
+                    break
+            else:
+                return None
+    return bits
+
+
 def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation | None:
     """A quasi-transitive partial orientation of g, or None when none exists.
 
@@ -766,12 +829,37 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation 
     which is distinct from a NO answer.
     """
     opts = opts or SolveOptions()
-    tf = Graph(g.n, triangle_free_edges(g))
-    parity, _parent, clash = _two_colour(tf)
+    fixed = {v for e in triangle_free_edges(g) for v in e}
+    fixed_graph = Graph(g.n, frozenset(e for e in g.edges if e[0] in fixed and e[1] in fixed))
+    parity, _parent, clash = _two_colour(fixed_graph)
     if clash is not None:
-        return None  # an odd cycle of forced arcs: no orientation
-    solver = _ComponentSolver(g, tf, parity, _Budget(opts.node_limit))
-    result = solver.solve(frozenset(range(g.n)), {})
-    if result is None:
+        return None  # adjacent fixed vertices alternate, which an odd cycle forbids
+    solver = _ComponentSolver(g, fixed_graph, parity, _Budget(opts.node_limit))
+    adj0, class_id = solver.adj0, solver.class_id
+    kept: set[Edge] = set()
+    arcs: set[tuple[int, int]] = set()
+    constraints = []
+    for comp in _components_of((v for v in range(g.n) if v not in fixed), adj0):
+        touched = {w for v in comp for w in adj0[v] if w in fixed}
+        if touched:
+            scope = tuple(sorted({class_id[w] for w in touched}))
+            constraints.append((comp | touched, scope))
+            continue
+        sub = solver.solve(comp, {})
+        if sub is None:
+            return None
+        kept |= sub[0]
+        arcs |= sub[1]
+    bits = _search_classes(solver, constraints)
+    if bits is None:
         return None
-    return PartialOrientation(g, MixedGraph(g.n, *result))
+    for region, scope in constraints:
+        sub = solver.solve(region, {c: bits[c] for c in scope})
+        kept |= sub[0]
+        arcs |= sub[1]
+    # an edge between two fixed vertices runs from the source to the sink,
+    # whatever a region made of it: that arc lies on no 2-dipath
+    for u, v in fixed_graph.edges:
+        kept.discard((u, v))
+        arcs.add((u, v) if parity[u] == bits.get(class_id[u], 0) else (v, u))
+    return PartialOrientation(g, MixedGraph(g.n, frozenset(kept), frozenset(arcs)))

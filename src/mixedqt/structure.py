@@ -243,8 +243,11 @@ def orient_deg3(g: Graph, opts: SolveOptions | None = None) -> PartialOrientatio
     The graph is reduced once.  The no answer comes from the test of
     :func:`decide_deg3` on the reduced graph and stays polynomial; on a yes
     answer the exact solver orients the reduced graph and the removal trace
-    is replayed backwards.  The solver failing to find a witness the
-    decider promised would be a bug, not a no answer.
+    is replayed backwards.  Triangle-free parts need no search there: every
+    vertex on a triangle-free edge is a source or a sink, so the solver
+    orients those edges from the 2-colouring and searches only the regions
+    around triangles.  The solver failing to find a witness the decider
+    promised would be a bug, not a no answer.
     """
     _require_deg3(g)
     reduced, trace = reduce_removable(g)

@@ -6,17 +6,20 @@ lines and timings as they complete.
 
 import random
 import time
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 from mixedqt.cli import run
 from mixedqt.generate import (
+    connected_graphs,
     random_connected_graph,
     random_graph,
     random_nae_instance,
 )
 from mixedqt.graphs import (
     MixedGraph,
+    connected_components,
     cut_vertices,
     delete_vertices,
     edge_subgraph,
@@ -225,6 +228,56 @@ def test_criterion_5_orientation_structure_suite(deg3_corpus, capsys):
         report(5, ok, f"{orientations} orientations across {len(deg3_corpus)} "
                       f"graphs, {violations} violations, {elapsed:.1f}s")
     assert violations == 0
+
+
+def _polarities(g, cache):
+    """The source (1) / sink (-1) / neither (0) vector of every
+    quasi-transitive partial orientation of g."""
+    if g not in cache:
+        code = {VertexStatus.SOURCE: 1, VertexStatus.SINK: -1}
+        cache[g] = {tuple(code.get(vertex_status(po.mixed, v), 0) for v in range(g.n))
+                    for po in enumerate_qt(g)}
+    return cache[g]
+
+
+def _feasible(g, pol, cache) -> bool:
+    return any(all(vec[v] == p for v, p in pol.items()) for vec in _polarities(g, cache))
+
+
+def test_criterion_5_split_at_fixed_polarities(capsys):
+    # Fix a source or sink polarity on every vertex of a random set S.  The
+    # instance is feasible exactly when adjacent vertices of S have opposite
+    # polarities and each component of G - S, together with its neighbours
+    # in S, is feasible: the fact that lets the solver split at S.
+    t0 = time.time()
+    rng = random.Random(0x5917)
+    cache: dict = {}
+    outcomes: Counter = Counter()
+    mismatches = 0
+    for g in connected_graphs(6):
+        if g.n < 3 or len(g.edges) > 12:
+            continue
+        for _ in range(8):
+            pol = {v: rng.choice((1, -1)) for v in range(g.n) if rng.random() < 0.5}
+            whole = _feasible(g, pol, cache)
+            split = all(pol[u] != pol[v] for u, v in g.edges if u in pol and v in pol)
+            rest, ids = delete_vertices(g, pol)
+            for comp in connected_components(rest):
+                region = {ids[i] for i in comp}
+                region |= {w for v in region for w in g.adj[v] if w in pol}
+                sub, sub_ids = delete_vertices(g, set(range(g.n)) - region)
+                sub_pol = {i: pol[v] for i, v in enumerate(sub_ids) if v in pol}
+                split = split and _feasible(sub, sub_pol, cache)
+            outcomes[whole] += 1
+            mismatches += whole != split
+    samples = sum(outcomes.values())
+    elapsed = time.time() - t0
+    ok = mismatches == 0 and outcomes[True] > 0 and outcomes[False] > 0
+    with capsys.disabled():
+        report(5, ok, f"{samples} fixed-polarity samples ({outcomes[True]} feasible), "
+                      f"{mismatches} mismatches with the split, {elapsed:.1f}s")
+    assert mismatches == 0
+    assert outcomes[True] > 0 and outcomes[False] > 0
 
 
 def test_criterion_6_universal_embedding(capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedqt.formats import serialize_mixed
-from mixedqt.generate import random_connected_graph
+from mixedqt.generate import random_connected_graph, random_nae_instance
 from mixedqt.graphs import (
     Graph,
     MixedGraph,
@@ -21,7 +21,14 @@ from mixedqt.graphs import (
     underlying,
     undirected_square,
 )
-from mixedqt.reduction import CnfInstance, build_reduction, parse_dimacs
+from mixedqt.reduction import (
+    CnfInstance,
+    brute_nae,
+    build_reduction,
+    is_nae_satisfying,
+    parse_dimacs,
+    witness_to_assignment,
+)
 from mixedqt.solver import (
     BudgetExceeded,
     InducedTwoDipath,
@@ -57,15 +64,31 @@ def disjoint_union(a, b):
     return Graph(a.n + b.n, a.edges | {(u + a.n, v + a.n) for u, v in b.edges})
 
 
-def glued_pair(rng):
-    """Two random connected pieces of 4-6 vertices and maximum degree 4,
-    identified at 1-3 vertices independent in both, with 11-16 edges."""
+def two_tree(n, rng):
+    """A random 2-tree: a triangle, then each new vertex joined to both ends
+    of a random edge, so every edge lies on a triangle."""
+    edges = {(0, 1), (0, 2), (1, 2)}
+    for v in range(3, n):
+        u, w = rng.choice(sorted(edges))
+        edges |= {(u, v), (w, v)}
+    return Graph(n, frozenset(edges))
+
+
+def glued_pair(rng, dense=False):
+    """Two random connected pieces of 4-6 vertices, identified at 1-3
+    vertices independent in both, with 11-16 edges.
+
+    The pieces are random connected graphs of maximum degree 4.  With
+    ``dense`` they are 2-trees identified at three vertices: the glued graph
+    has no triangle-free edge, so it is searched as one region.
+    """
+    piece = two_tree if dense else (lambda n, rng: random_connected_graph(n, 4, rng))
     while True:
-        a = random_connected_graph(rng.randint(4, 6), 4, rng)
-        b = random_connected_graph(rng.randint(4, 6), 4, rng)
+        a = piece(rng.randint(4, 6), rng)
+        b = piece(rng.randint(4, 6), rng)
         if not 11 <= len(a.edges) + len(b.edges) <= 16:
             continue
-        k = rng.randint(1, 3)
+        k = 3 if dense else rng.randint(1, 3)
         sa = [s for s in combinations(range(a.n), k)
               if not any(a.has_edge(u, v) for u, v in combinations(s, 2))]
         sb = [s for s in combinations(range(b.n), k)
@@ -250,7 +273,9 @@ class TestDecideQt:
 
     def test_decomposition_agrees_with_enumeration(self, rng, monkeypatch):
         # glued pairs have 11-16 edges, more than FLAT_CUTOFF, so their
-        # search goes through the cut decomposition
+        # search goes through the cut decomposition; the regions left
+        # between fixed vertices are small, and the dense pairs, which have
+        # no fixed vertex, are the ones that reach 3-vertex cuts
         cut_sizes = Counter()
         find_cut = _ComponentSolver._find_cut
 
@@ -261,8 +286,8 @@ class TestDecideQt:
             return found
 
         monkeypatch.setattr(_ComponentSolver, "_find_cut", spy)
-        for _ in range(200):
-            g = glued_pair(rng)
+        for g in [glued_pair(rng) for _ in range(200)] + [
+                glued_pair(rng, dense=True) for _ in range(50)]:
             expected = next(iter(enumerate_qt(g)), None) is not None
             w = decide_qt(g)
             assert (w is not None) == expected
@@ -278,6 +303,30 @@ class TestDecideQt:
             if w is not None:
                 assert verify_witness(g, w.mixed).ok
 
+    def test_nae_reductions_agree_with_brute_nae(self, rng):
+        # every clause gadget is a region between fixed literal vertices, so
+        # these exercise the search over the class bits; unsatisfiable
+        # instances are rare at these sizes and are drawn apart, with 16
+        # clauses
+        instances = [random_nae_instance(rng.randint(4, 8), rng.randint(4, 16), rng)
+                     for _ in range(120)]
+        while len(instances) < 150:
+            y = random_nae_instance(rng.randint(5, 8), 16, rng)
+            if brute_nae(y) is None:
+                instances.append(y)
+        answers = Counter()
+        for y in instances:
+            expected = brute_nae(y) is not None
+            answers[expected] += 1
+            for drop in (False, True):
+                g, rm = build_reduction(y, drop_pendants=drop)
+                w = decide_qt(g)
+                assert (w is not None) == expected
+                if w is not None:
+                    assert verify_witness(g, w.mixed).ok
+                    assert is_nae_satisfying(y, witness_to_assignment(rm, w.mixed))
+        assert answers[True] > 100 and answers[False] >= 30
+
     def test_budget_raises(self):
         with pytest.raises(BudgetExceeded):
             decide_qt(complete_graph(6), SolveOptions(node_limit=1))
@@ -291,8 +340,8 @@ class TestDecideQt:
         assert decide_qt(g, SolveOptions(node_limit=1)) is None
 
     @pytest.mark.parametrize("make, answer, nodes", [
-        (lambda: build_reduction(fixture_formula("fano.cnf"))[0], False, 5571),
-        (lambda: build_reduction(COMPLETE_5)[0], False, 2390),
+        (lambda: build_reduction(fixture_formula("fano.cnf"))[0], False, 678),
+        (lambda: build_reduction(COMPLETE_5)[0], False, 775),
         (lambda: dipath_square(256), True, 598),
         (lambda: dipath_square(300), True, 698),
         (lambda: dipath_square(402), True, 936),

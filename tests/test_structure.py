@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -195,6 +196,30 @@ class TestFindNet:
         assert set(hit.pendants) == {0, 1, 2, 3, 4, 5} - tri
 
 
+def random_deg3_tree(n, rng, spine=1):
+    """A random tree of maximum degree three, grown one leaf at a time from
+    vertex 0; with ``spine`` above 1, a caterpillar: a path on ``spine``
+    vertices with every other vertex hung on it as a leaf."""
+    edges = {(i, i + 1) for i in range(spine - 1)}
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    slots = list(range(spine))
+    for v in range(spine, n):
+        k = rng.randrange(len(slots))
+        u = slots[k]
+        edges.add((u, v))
+        degree[u] += 1
+        degree[v] += 1
+        if degree[u] == 3:
+            slots[k] = slots[-1]
+            slots.pop()
+        if spine == 1:
+            slots.append(v)
+    return Graph(n, frozenset(edges))
+
+
 class TestDecideDeg3:
     def test_known_answers(self):
         assert decide_deg3(complete_graph(4))
@@ -214,6 +239,20 @@ class TestDecideDeg3:
             assert (w is not None) == answer
             if w is not None:
                 assert verify_witness(g, w.mixed).ok
+
+    @pytest.mark.parametrize("n, spine", [(10_000, 6_000), (3_000, 1)],
+                             ids=["caterpillar-10000", "tree-3000"])
+    def test_orient_deg3_at_default_recursion_limit(self, n, spine, rng):
+        # a tree has no triangle, so every vertex is a source or a sink and
+        # the witness comes from the 2-colouring alone, without a search
+        g = random_deg3_tree(n, rng, spine)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            w = orient_deg3(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert w is not None and verify_witness(g, w.mixed).ok
 
     def test_orient_deg3_reduces_once(self, monkeypatch):
         import mixedqt.structure as structure_module
