@@ -21,35 +21,36 @@ region is orientable under the fixed polarities.  An edge between two
 vertices of S becomes the arc from the source to the sink: that arc lies on
 no 2-dipath, and a kept edge there would cover nothing.
 
-:func:`decide_qt` splits at S = the vertices on triangle-free edges, whose
-polarities are forced.  Adjacent vertices of S alternate, so each connected
-piece of the graph S induces is a polarity class decided by one bit, and an
-odd cycle there is a NO before any search.  The class bits are searched;
-each region between them is a constraint over the classes it touches,
-decided lazily by the region solver.  A component of G - S that touches no
-class is solved directly.
+Two kinds of vertex are forced to be sources or sinks.  The vertices on
+triangle-free edges are, by the propagation above.  So is each vertex of an
+independent vertex cut (with neighbours on both sides), a cut vertex being a
+cut of one.  It has an arc, because a kept edge is covered by a 2-dipath
+through both its ends.  It is not internal: an in-arc and an out-arc on
+opposite sides form an induced 2-dipath.  With both on one side, an edge to
+the other side can be neither an arc nor a kept edge: a kept edge's covering
+2-dipath passes through a common neighbour, which lies on that other side
+too, and any arc at the cut vertex to that side would form an induced
+2-dipath with one of the first two arcs.  The argument holds inside a region
+under fixed polarities as well.
 
-Inside a region the split is applied to independent vertex cuts of size at
-most three, the special case where a pattern loop fixes the cut.  In every
-quasi-transitive partial orientation, each vertex of an independent cut
-(with neighbours on both sides) is a source or a sink.  It has an arc,
-because a kept edge is covered by a 2-dipath through both its ends.  It is
-not internal: an in-arc and an out-arc on opposite sides form an induced
-2-dipath.  With both on one side, an edge to the other side can be neither
-an arc nor a kept edge: a kept edge's covering 2-dipath passes through a
-common neighbour, which lies on that other side too, and any arc at the cut
-vertex to that side would form an induced 2-dipath with one of the first two
-arcs.  So enumerating the source/sink patterns on the cut is complete, and
-the side problems are memoised.  A region's cut is computed once per
-:func:`decide_qt` call and reused for every pattern.
+:func:`decide_qt` starts with S = the vertices on triangle-free edges and a
+worklist of regions: the components of G - S, each with its neighbours in S.
+A region with more than ``FLAT_CUTOFF`` edges is split at all of its cut
+vertices or, when it has none, at a small independent cut: the cut joins S,
+and the components of the region - S, each with its neighbours in S, take
+its place on the worklist.  A region with no cut is final.  Adjacent
+vertices of S alternate, so each connected piece of the graph S induces is
+a polarity class decided by one bit, and an odd cycle there is a NO before
+any search.  The class bits are searched; each final region is a constraint
+over the classes it touches, decided lazily by a memoised flat search.  A
+final region that touches no class is solved directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .graphs import (
     Edge,
@@ -312,7 +313,7 @@ class BudgetExceeded(RuntimeError):
 
 # Regions with at most FLAT_CUTOFF edges are searched directly; independent
 # cuts of 2..MAX_CUT_SIZE vertices are only sought in regions of at most
-# CUT_SEARCH_LIMIT vertices (a cut vertex is always taken when one exists).
+# CUT_SEARCH_LIMIT vertices without a cut vertex.
 FLAT_CUTOFF = 10
 MAX_CUT_SIZE = 3
 CUT_SEARCH_LIMIT = 256
@@ -613,107 +614,63 @@ def _flat_solve(vertices: frozenset[int], edges: frozenset[Edge],
 
 
 class _ComponentSolver:
-    """The region solver of one :func:`decide_qt` call.
+    """The memoised flat solve of one :func:`decide_qt` call.
 
-    Fixing the polarity of any vertex set splits the instance there (see the
-    module docstring).  The vertices on triangle-free edges are fixed by
-    their class bits, and each connected piece of the graph they induce is a
+    Each connected piece of the graph the fixed vertices induce is a
     polarity class; a vertex outside them is a class of its own.
     ``class_id`` and ``parity`` give each vertex its class and its colour in
-    the 2-colouring of that graph.  Cut patterns are recorded on class
-    bits, which keeps memo keys small when the same class meets many cuts.
-
-    An independent cut is the special case where a pattern loop fixes the
-    cut's vertices, so the sides share nothing but that pattern.  Every
-    region is connected: :func:`decide_qt` hands over connected sets, and
-    each side of a cut stays connected through the cut.  The region table
-    holds what depends on a vertex set alone: the classes meeting it and its
-    cut (the cut's classes, and both sides joined to the cut), or None for a
-    flat region.  An entry is filled when its set is first seen, so each set
-    is analysed once per call; the adjacency dict that analysis builds is
-    dropped before the search goes on.
+    the 2-colouring of that graph.  A final region is solved once for each
+    pattern of bits on the classes it touches, and the result is memoised
+    under the region and that pattern.
     """
 
-    def __init__(self, g: Graph, fixed_graph: Graph, parity: dict[int, int], budget: _Budget):
-        self.adj0 = [set(a) for a in g.adj]
-        self.class_id = [0] * g.n
+    def __init__(self, adj: tuple[frozenset[int], ...], fixed_graph: Graph,
+                 parity: dict[int, int], budget: _Budget):
+        self.adj = adj
+        self.class_id = [0] * len(adj)
         for c, comp in enumerate(connected_components(fixed_graph)):
             for v in comp:
                 self.class_id[v] = c
         self.parity = parity
         self.budget = budget
         self.memo: dict = {}
-        self.regions: dict[frozenset[int], tuple] = {}
-
-    def _region(self, vertices: frozenset[int]) -> tuple:
-        entry = self.regions.get(vertices)
-        if entry is not None:
-            return entry
-        adj = {v: self.adj0[v] & vertices for v in vertices}
-        cut = None
-        if sum(map(len, adj.values())) > 2 * FLAT_CUTOFF:
-            found = self._find_cut(vertices, adj)
-            if found is not None:
-                cut_vs, v1, v2 = found
-                cut_classes = tuple(dict.fromkeys(self.class_id[v] for v in sorted(cut_vs)))
-                cut = (cut_classes, v1 | cut_vs, v2 | cut_vs)
-        entry = (frozenset(self.class_id[v] for v in vertices), cut)
-        self.regions[vertices] = entry
-        return entry
 
     def solve(self, vertices: frozenset[int], fclasses: dict[int, int]):
-        """Kept edges and arcs orienting the connected set ``vertices``, or
-        None, given the bits already fixed for some classes."""
-        classes, cut = self._region(vertices)
-        key = (vertices, tuple(sorted((c, b) for c, b in fclasses.items() if c in classes)))
+        """Kept edges and arcs orienting the region ``vertices``, or None,
+        given the bits of the classes it touches."""
+        key = (vertices, tuple(sorted(fclasses.items())))
         if key in self.memo:
             return self.memo[key]
         self.budget.spend()
-        result = None
-        if cut is not None:
-            cut_classes, side1, side2 = cut
-            free = [c for c in cut_classes if c not in fclasses]
-            for combo in product((0, 1), repeat=len(free)):
-                fc2 = dict(fclasses)
-                fc2.update(zip(free, combo))
-                r1 = self.solve(side1, fc2)
-                if r1 is None:
-                    continue
-                r2 = self.solve(side2, fc2)
-                if r2 is None:
-                    continue
-                result = (r1[0] | r2[0], r1[1] | r2[1])
-                break
-        else:
-            adj = {v: self.adj0[v] & vertices for v in vertices}
-            edges = frozenset((v, w) for v in vertices for w in adj[v] if v < w)
-            class_id, parity = self.class_id, self.parity
-            forced = {v: 1 if parity[v] == fclasses[class_id[v]] else -1
-                      for v in vertices if class_id[v] in fclasses}
-            result = _flat_solve(vertices, edges, adj, forced, self.budget)
+        adj = {v: self.adj[v] & vertices for v in vertices}
+        edges = frozenset((v, w) for v in vertices for w in adj[v] if v < w)
+        class_id, parity = self.class_id, self.parity
+        forced = {v: 1 if parity[v] == fclasses[class_id[v]] else -1
+                  for v in vertices if class_id[v] in fclasses}
+        result = _flat_solve(vertices, edges, adj, forced, self.budget)
         self.memo[key] = result
         return result
 
-    def _find_cut(self, vertices: frozenset[int], adj: dict[int, set[int]]):
-        points = _articulation_points(vertices, adj)
-        if points:
-            v = min(points)
-            comps = _components_of(set(vertices) - {v}, adj)
-            v2 = frozenset().union(*comps[1:])
-            return frozenset({v}), comps[0], v2
-        if len(vertices) > CUT_SEARCH_LIMIT:
-            return None
-        best = None
-        for seed in sorted(vertices):
-            cut = _grow_cut(seed, vertices, adj)
-            if cut is not None and (best is None or len(cut[0]) < len(best[0])):
-                best = cut
-                if len(best[0]) == 2:
-                    break
-        return best
+
+def _region_cut(vertices: frozenset[int], adj: dict[int, frozenset[int]]) -> frozenset[int]:
+    """The vertices at which a region splits: all of its cut vertices or,
+    when it has none and at most ``CUT_SEARCH_LIMIT`` vertices, the smallest
+    independent cut :func:`_grow_cut` finds; empty when there is neither."""
+    points = _articulation_points(vertices, adj)
+    if points or len(vertices) > CUT_SEARCH_LIMIT:
+        return frozenset(points)
+    best = frozenset()
+    for seed in sorted(vertices):
+        cut = _grow_cut(seed, vertices, adj)
+        if cut and (not best or len(cut) < len(best)):
+            best = cut
+            if len(best) == 2:
+                break
+    return best
 
 
-def _grow_cut(seed: int, vertices: frozenset[int], adj: dict[int, set[int]]):
+def _grow_cut(seed: int, vertices: frozenset[int],
+              adj: dict[int, frozenset[int]]) -> frozenset[int] | None:
     """Grow a region from ``seed`` until its neighbourhood is an independent
     set of at most ``MAX_CUT_SIZE`` vertices separating it from the rest.
 
@@ -741,7 +698,7 @@ def _grow_cut(seed: int, vertices: frozenset[int], adj: dict[int, set[int]]):
             continue
         if len(boundary) <= MAX_CUT_SIZE and not any(
                 adj[a] & boundary for a in boundary):
-            return frozenset(boundary), frozenset(region), frozenset(rest)
+            return frozenset(boundary)
         # taking b moves its neighbours in ``rest`` into the boundary
         pick = None
         pick_size = None
@@ -821,6 +778,14 @@ def _search_classes(solver: _ComponentSolver,
     return bits
 
 
+def _regions(vertices: Iterable[int], adj: tuple[frozenset[int], ...],
+             fixed: set[int]) -> list[frozenset[int]]:
+    """The components of ``vertices`` minus ``fixed``, each joined to its
+    neighbours in ``fixed``."""
+    return [comp | {w for v in comp for w in adj[v] if w in fixed}
+            for comp in _components_of((v for v in vertices if v not in fixed), adj)]
+
+
 def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation | None:
     """A quasi-transitive partial orientation of g, or None when none exists.
 
@@ -829,23 +794,34 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation 
     which is distinct from a NO answer.
     """
     opts = opts or SolveOptions()
+    adj0 = g.adj
     fixed = {v for e in triangle_free_edges(g) for v in e}
+    regions = _regions(range(g.n), adj0, fixed)
+    final = []
+    # the pieces of a split region are appended, so this loop meets them too
+    for region in regions:
+        adj = {v: adj0[v] & region for v in region}
+        cut = _region_cut(region, adj) if sum(map(len, adj.values())) > 2 * FLAT_CUTOFF else None
+        if cut:
+            fixed |= cut
+            regions.extend(_regions(region, adj0, fixed))
+        else:
+            final.append(region)
     fixed_graph = Graph(g.n, frozenset(e for e in g.edges if e[0] in fixed and e[1] in fixed))
     parity, _parent, clash = _two_colour(fixed_graph)
     if clash is not None:
         return None  # adjacent fixed vertices alternate, which an odd cycle forbids
-    solver = _ComponentSolver(g, fixed_graph, parity, _Budget(opts.node_limit))
-    adj0, class_id = solver.adj0, solver.class_id
+    solver = _ComponentSolver(adj0, fixed_graph, parity, _Budget(opts.node_limit))
+    class_id = solver.class_id
     kept: set[Edge] = set()
     arcs: set[tuple[int, int]] = set()
     constraints = []
-    for comp in _components_of((v for v in range(g.n) if v not in fixed), adj0):
-        touched = {w for v in comp for w in adj0[v] if w in fixed}
-        if touched:
-            scope = tuple(sorted({class_id[w] for w in touched}))
-            constraints.append((comp | touched, scope))
+    for region in final:
+        scope = tuple(sorted({class_id[v] for v in region if v in fixed}))
+        if scope:
+            constraints.append((region, scope))
             continue
-        sub = solver.solve(comp, {})
+        sub = solver.solve(region, {})
         if sub is None:
             return None
         kept |= sub[0]

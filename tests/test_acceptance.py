@@ -195,10 +195,10 @@ def test_criterion_5_orientation_structure_suite(deg3_corpus, capsys):
                     if vertex_status(m, x) not in (VertexStatus.SOURCE,
                                                    VertexStatus.SINK):
                         violations += 1
-            # arc-incident cut vertices are sources or sinks
-            for v in cut_vs:
-                st = vertex_status(m, v)
-                if st is VertexStatus.INTERNAL:
+            # cut vertices and the vertices of independent cuts are sources
+            # or sinks, which is what decide_qt splits at
+            for v in cut_vs | {v for cut, _v1, _v2 in cuts for v in cut}:
+                if vertex_status(m, v) not in (VertexStatus.SOURCE, VertexStatus.SINK):
                     violations += 1
             # independent-cut restrictions stay quasi-transitive with
             # consistent source/sink boundaries

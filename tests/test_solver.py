@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixedqt.solver as solver_module
 from mixedqt.formats import serialize_mixed
 from mixedqt.generate import random_connected_graph, random_nae_instance
 from mixedqt.graphs import (
     Graph,
     MixedGraph,
+    _articulation_points,
     complete_graph,
     cycle_graph,
     edge,
+    independent_vertex_cuts,
     mixed_square,
     net_graph,
     underlying,
@@ -36,7 +39,6 @@ from mixedqt.solver import (
     SolveOptions,
     UncoveredEdge,
     VertexStatus,
-    _ComponentSolver,
     decide_qt,
     enumerate_qt,
     is_qt,
@@ -58,6 +60,13 @@ def fixture_formula(name):
 def dipath_square(n):
     """P_n squared: the undirected square of the directed path on n vertices."""
     return undirected_square(MixedGraph(n, arcs=frozenset((i, i + 1) for i in range(n - 1))))
+
+
+def triangle_chain(k):
+    """k triangles in a row, each sharing one vertex with the next."""
+    return Graph(2 * k + 1, frozenset(
+        e for t in range(k)
+        for e in (edge(2 * t, 2 * t + 1), edge(2 * t + 1, 2 * t + 2), edge(2 * t, 2 * t + 2))))
 
 
 def disjoint_union(a, b):
@@ -272,28 +281,35 @@ class TestDecideQt:
         assert decide_qt(g).mixed == decide_qt(g).mixed
 
     def test_decomposition_agrees_with_enumeration(self, rng, monkeypatch):
-        # glued pairs have 11-16 edges, more than FLAT_CUTOFF, so their
-        # search goes through the cut decomposition; the regions left
-        # between fixed vertices are small, and the dense pairs, which have
-        # no fixed vertex, are the ones that reach 3-vertex cuts
-        cut_sizes = Counter()
-        find_cut = _ComponentSolver._find_cut
+        # glued pairs have 11-16 edges, more than FLAT_CUTOFF, so the
+        # regions they leave between vertices on triangle-free edges are
+        # split further: at all cut vertices at once, or else at an
+        # independent 2- or 3-vertex cut; the dense pairs, which have no
+        # vertex on a triangle-free edge, are the ones that reach 3-vertex cuts
+        cuts = Counter()
+        region_cut = solver_module._region_cut
 
-        def spy(self, vertices, adj):
-            found = find_cut(self, vertices, adj)
-            if found is not None:
-                cut_sizes[len(found[0])] += 1
+        def spy(vertices, adj):
+            found = region_cut(vertices, adj)
+            if found:
+                points = _articulation_points(vertices, adj)
+                cuts["cut vertices" if found == points else len(found)] += 1
             return found
 
-        monkeypatch.setattr(_ComponentSolver, "_find_cut", spy)
+        monkeypatch.setattr(solver_module, "_region_cut", spy)
         for g in [glued_pair(rng) for _ in range(200)] + [
                 glued_pair(rng, dense=True) for _ in range(50)]:
-            expected = next(iter(enumerate_qt(g)), None) is not None
+            first = next(iter(enumerate_qt(g)), None)
             w = decide_qt(g)
-            assert (w is not None) == expected
+            assert (w is not None) == (first is not None)
             if w is not None:
                 assert verify_witness(g, w.mixed).ok
-        assert set(cut_sizes) == {1, 2, 3}
+                # what the split rests on: a cut's vertices are sources or sinks
+                for cut, _v1, _v2 in independent_vertex_cuts(g, 3):
+                    for v in cut:
+                        assert vertex_status(first.mixed, v) in (
+                            VertexStatus.SOURCE, VertexStatus.SINK)
+        assert set(cuts) == {"cut vertices", 2, 3}
 
     def test_agrees_with_enumeration(self, deg3_corpus):
         for g in deg3_corpus:
@@ -345,12 +361,14 @@ class TestDecideQt:
         (lambda: dipath_square(256), True, 598),
         (lambda: dipath_square(300), True, 698),
         (lambda: dipath_square(402), True, 936),
+        (lambda: triangle_chain(600), True, 1805),
     ], ids=["fano", "complete-3-uniform-v5", "dipath-square-256", "dipath-square-300",
-            "dipath-square-402"])
+            "dipath-square-402", "triangle-chain-600"])
     def test_node_count_pinned(self, make, answer, nodes):
         # the two formulas are NAE-unsatisfiable, so their search is
-        # exhaustive; the squares stop at their first witness.  Either way
-        # the node count is exactly what the limit has to allow
+        # exhaustive; the squares and the chain, whose cut vertices form one
+        # class, stop at their first witness.  Either way the node count is
+        # exactly what the limit has to allow
         g = make()
         assert (decide_qt(g, SolveOptions(node_limit=nodes)) is not None) == answer
         with pytest.raises(BudgetExceeded) as info:
@@ -363,9 +381,7 @@ class TestDecideQt:
         fano, _ = build_reduction(fixture_formula("fano.cnf"))
         assert decide_qt(fano) is None
         one_clause, _ = build_reduction(fixture_formula("one_clause.cnf"))
-        chain = Graph(81, frozenset(
-            e for t in range(40)
-            for e in (edge(2 * t, 2 * t + 1), edge(2 * t + 1, 2 * t + 2), edge(2 * t, 2 * t + 2))))
+        chain = triangle_chain(40)
         expected = [
             (one_clause, "b32efe1abd1c8e96e4fb1984798a9f75577d525525d0fae543f3acdf976951bd"),
             (dipath_square(64),
@@ -393,11 +409,11 @@ class TestDecideQt:
             sys.setrecursionlimit(limit)
         assert w is not None and verify_witness(g, w.mixed).ok
 
-    def test_long_triangle_chain_at_default_recursion_limit(self):
-        # 600 triangles glued at cut vertices: 600 levels of decomposition
-        g = Graph(1201, frozenset(
-            e for t in range(600)
-            for e in (edge(2 * t, 2 * t + 1), edge(2 * t + 1, 2 * t + 2), edge(2 * t, 2 * t + 2))))
+    @pytest.mark.parametrize("k", [600, 2400])
+    def test_long_triangle_chain_at_default_recursion_limit(self, k):
+        # k triangles glued at k - 1 cut vertices, which all join the fixed
+        # vertices in one split
+        g = triangle_chain(k)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
