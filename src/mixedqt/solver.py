@@ -38,7 +38,10 @@ worklist of regions: the components of G - S, each with its neighbours in S.
 A region with more than ``FLAT_CUTOFF`` edges is split at all of its cut
 vertices or, when it has none, at a small independent cut: the cut joins S,
 and the components of the region - S, each with its neighbours in S, take
-its place on the worklist.  A region with no cut is final.  Adjacent
+its place on the worklist.  A region with no cut is final.  A region
+without a cut vertex in which every vertex's neighbourhood is connected (a
+locally connected region, such as the square of a directed path) has no
+independent cut at all, so none is sought there.  Adjacent
 vertices of S alternate, so each connected piece of the graph S induces is
 a polarity class decided by one bit, and an odd cycle there is a NO before
 any search.  The class bits are searched; each final region is a constraint
@@ -655,9 +658,19 @@ class _ComponentSolver:
 def _region_cut(vertices: frozenset[int], adj: dict[int, frozenset[int]]) -> frozenset[int]:
     """The vertices at which a region splits: all of its cut vertices or,
     when it has none and at most ``CUT_SEARCH_LIMIT`` vertices, the smallest
-    independent cut :func:`_grow_cut` finds; empty when there is neither."""
+    independent cut :func:`_grow_cut` finds; empty when there is neither.
+
+    A region without a cut vertex whose every vertex has a connected
+    neighbourhood has no independent cut, so :func:`_grow_cut` is not run
+    there.  Take an inclusion-minimal independent cut B.  Each v in B has
+    neighbours in two components of the region - B, or B - v would still
+    separate it (and be non-empty, as v alone is no cut vertex).  B is
+    independent, so those neighbours lie in the region - B, where no edge
+    joins two components: v's neighbourhood is disconnected.
+    """
     points = _articulation_points(vertices, adj)
-    if points or len(vertices) > CUT_SEARCH_LIMIT:
+    if (points or len(vertices) > CUT_SEARCH_LIMIT
+            or all(len(_components_of(adj[v], adj)) == 1 for v in vertices)):
         return frozenset(points)
     best = frozenset()
     for seed in sorted(vertices):

@@ -15,7 +15,9 @@ from mixedqt.graphs import (
     Graph,
     MixedGraph,
     _articulation_points,
+    _components_of,
     complete_graph,
+    cut_vertices,
     cycle_graph,
     edge,
     independent_vertex_cuts,
@@ -310,6 +312,41 @@ class TestDecideQt:
                         assert vertex_status(first.mixed, v) in (
                             VertexStatus.SOURCE, VertexStatus.SINK)
         assert set(cuts) == {"cut vertices", 2, 3}
+
+    def test_locally_connected_graphs_have_no_independent_cut(self, rng):
+        # why _region_cut skips its greedy search when every neighbourhood
+        # is connected: without a cut vertex, a vertex of an inclusion-minimal
+        # independent cut has neighbours in two components of the rest
+        seen = Counter()
+        for _ in range(2000):
+            g = random_connected_graph(rng.randint(4, 10), 9, rng)
+            if cut_vertices(g):
+                continue
+            adj = dict(enumerate(g.adj))
+            local = all(len(_components_of(adj[v], adj)) == 1 for v in adj)
+            has_cut = bool(independent_vertex_cuts(g, g.n))
+            seen[local, has_cut] += 1
+            if local:
+                assert not has_cut
+                vertices = frozenset(adj)
+                assert all(solver_module._grow_cut(v, vertices, adj) is None for v in adj)
+        # both kinds occur, and the oracle does find cuts where one exists
+        assert seen[True, False] and seen[False, True]
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_no_cut_search_on_dipath_square(self, n, monkeypatch):
+        # every neighbourhood of P_n squared is connected, so no greedy
+        # growth can find an independent cut and none is started
+        seeds = []
+        grow_cut = solver_module._grow_cut
+
+        def spy(seed, vertices, adj):
+            seeds.append(seed)
+            return grow_cut(seed, vertices, adj)
+
+        monkeypatch.setattr(solver_module, "_grow_cut", spy)
+        assert decide_qt(dipath_square(n)) is not None
+        assert seeds == []
 
     def test_agrees_with_enumeration(self, deg3_corpus):
         for g in deg3_corpus:
