@@ -45,7 +45,9 @@ independent cut at all, so none is sought there.  Adjacent
 vertices of S alternate, so each connected piece of the graph S induces is
 a polarity class decided by one bit, and an odd cycle there is a NO before
 any search.  The class bits are searched; each final region is a constraint
-over the classes it touches, decided lazily by a memoised flat search.  A
+over the classes it touches, decided lazily by a memoised flat search whose
+results are shared per region shape (the region relabelled in vertex order),
+so regions of one shape are searched once per pattern of their bits.  A
 final region that touches no class is solved directly.
 """
 
@@ -616,6 +618,9 @@ def _flat_solve(vertices: frozenset[int], edges: frozenset[Edge],
         budget.spend()
 
 
+_Shape = tuple[list[int], frozenset[Edge], tuple[tuple[int, int, int], ...]]
+
+
 class _ComponentSolver:
     """The memoised flat solve of one :func:`decide_qt` call.
 
@@ -623,8 +628,14 @@ class _ComponentSolver:
     polarity class; a vertex outside them is a class of its own.
     ``class_id`` and ``parity`` give each vertex its class and its colour in
     the 2-colouring of that graph.  A final region is solved once for each
-    pattern of bits on the classes it touches, and the result is memoised
-    under the region and that pattern.
+    pattern of bits on the classes it touches, and the result is shared by
+    every region of the same shape: the region relabelled in vertex order,
+    its sorted vertices mapped to 0..k-1, with its edges and its forced
+    polarities under that map.  The map keeps vertex order, so the sorted
+    edge list, every wedge list and the propagation fixpoint are those of
+    the region itself, and so are the search and its witness; the clause
+    gadgets of an NAE reduction are searched once per pattern, not once per
+    clause.
     """
 
     def __init__(self, adj: tuple[frozenset[int], ...], fixed_graph: Graph,
@@ -638,19 +649,32 @@ class _ComponentSolver:
         self.budget = budget
         self.memo: dict = {}
 
-    def solve(self, vertices: frozenset[int], fclasses: dict[int, int]):
-        """Kept edges and arcs orienting the region ``vertices``, or None,
-        given the bits of the classes it touches."""
-        key = (vertices, tuple(sorted(fclasses.items())))
+    def shape(self, region: frozenset[int], fixed: set[int]) -> _Shape:
+        """The region relabelled in vertex order: its sorted vertices, its
+        edges under the map to 0..k-1, and the local index, class and parity
+        of each of its fixed vertices."""
+        order = sorted(region)
+        index = {v: i for i, v in enumerate(order)}
+        adj, class_id, parity = self.adj, self.class_id, self.parity
+        edges = frozenset((i, index[w]) for i, v in enumerate(order)
+                          for w in adj[v] if w > v and w in index)
+        pins = tuple((i, class_id[v], parity[v]) for i, v in enumerate(order) if v in fixed)
+        return order, edges, pins
+
+    def solve(self, shape: _Shape, bits: dict[int, int]):
+        """Kept edges and arcs orienting a region's shape, in its local
+        labels, or None, given the bits of the classes it touches."""
+        order, edges, pins = shape
+        forced = tuple((i, 1 if p == bits[c] else -1) for i, c, p in pins)
+        key = (edges, forced)
         if key in self.memo:
             return self.memo[key]
         self.budget.spend()
-        adj = {v: self.adj[v] & vertices for v in vertices}
-        edges = frozenset((v, w) for v in vertices for w in adj[v] if v < w)
-        class_id, parity = self.class_id, self.parity
-        forced = {v: 1 if parity[v] == fclasses[class_id[v]] else -1
-                  for v in vertices if class_id[v] in fclasses}
-        result = _flat_solve(vertices, edges, adj, forced, self.budget)
+        adj: dict[int, set[int]] = {i: set() for i in range(len(order))}
+        for a, b in edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        result = _flat_solve(frozenset(adj), edges, adj, dict(forced), self.budget)
         self.memo[key] = result
         return result
 
@@ -726,17 +750,18 @@ def _grow_cut(seed: int, vertices: frozenset[int],
 
 
 def _search_classes(solver: _ComponentSolver,
-                    constraints: list[tuple[frozenset[int], tuple[int, ...]]]
+                    constraints: list[tuple[_Shape, tuple[int, ...]]]
                     ) -> dict[int, int] | None:
     """Bits for the classes the constraints touch under which every
     constraint's region is orientable, or None when there are none.
 
-    A constraint is a region with the classes of its fixed vertices; its
-    table is decided lazily by :meth:`_ComponentSolver.solve`, whose memo
-    keeps every entry.  A class in no constraint is left out and reads as 0.
-    Classes that share no constraint, directly or through other classes, are
-    searched one group after another.  Within a group the search runs on an
-    explicit stack of frames, each holding a class and the next bit to try.
+    A constraint is a region's shape with the classes of its fixed
+    vertices; its table is decided lazily by :meth:`_ComponentSolver.solve`,
+    whose memo keeps every entry.  A class in no constraint is left out and
+    reads as 0.  Classes that share no constraint, directly or through other
+    classes, are searched one group after another.  Within a group the
+    search runs on an explicit stack of frames, each holding a class and the
+    next bit to try.
     It branches on the free class that completes the most constraints, then
     on the one in the most constraints, and checks each constraint as soon
     as its last class is set.  One node is spent per bit tried.
@@ -750,10 +775,8 @@ def _search_classes(solver: _ComponentSolver,
 
     def consistent(c: int) -> bool:
         for k in watch[c]:
-            if not unset[k]:
-                region, scope = constraints[k]
-                if solver.solve(region, {x: bits[x] for x in scope}) is None:
-                    return False
+            if not unset[k] and solver.solve(constraints[k][0], bits) is None:
+                return False
         return True
 
     def urgency(c: int) -> tuple[int, int, int]:
@@ -826,26 +849,27 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation 
         return None  # adjacent fixed vertices alternate, which an odd cycle forbids
     solver = _ComponentSolver(adj0, fixed_graph, parity, _Budget(opts.node_limit))
     class_id = solver.class_id
-    kept: set[Edge] = set()
-    arcs: set[tuple[int, int]] = set()
+    solved = []
     constraints = []
     for region in final:
-        scope = tuple(sorted({class_id[v] for v in region if v in fixed}))
+        shape = solver.shape(region, fixed)
+        scope = tuple(sorted({c for _i, c, _p in shape[2]}))
         if scope:
-            constraints.append((region, scope))
+            constraints.append((shape, scope))
             continue
-        sub = solver.solve(region, {})
+        sub = solver.solve(shape, {})
         if sub is None:
             return None
-        kept |= sub[0]
-        arcs |= sub[1]
+        solved.append((shape[0], sub))
     bits = _search_classes(solver, constraints)
     if bits is None:
         return None
-    for region, scope in constraints:
-        sub = solver.solve(region, {c: bits[c] for c in scope})
-        kept |= sub[0]
-        arcs |= sub[1]
+    solved += [(shape[0], solver.solve(shape, bits)) for shape, _scope in constraints]
+    kept: set[Edge] = set()
+    arcs: set[tuple[int, int]] = set()
+    for order, (sub_kept, sub_arcs) in solved:
+        kept.update((order[u], order[v]) for u, v in sub_kept)
+        arcs.update((order[u], order[v]) for u, v in sub_arcs)
     # an edge between two fixed vertices runs from the source to the sink,
     # whatever a region made of it: that arc lies on no 2-dipath
     for u, v in fixed_graph.edges:
