@@ -17,6 +17,7 @@ error, 3 search budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -66,7 +67,9 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mixedqt",
         description="Decide whether a graph is the undirected square of an oriented graph.",

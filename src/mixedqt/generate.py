@@ -16,7 +16,7 @@ import random
 from itertools import combinations, permutations, product
 from typing import Iterator
 
-from .graphs import Graph, edge
+from .graphs import Graph, MixedGraph, edge
 from .reduction import CnfInstance
 
 
@@ -121,6 +121,17 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     """An Erdos-Renyi style random graph."""
     edges = frozenset((u, v) for u, v in combinations(range(n), 2) if rng.random() < p)
     return Graph(n, edges)
+
+
+def random_oriented(n: int, mean_degree: float, rng: random.Random) -> MixedGraph:
+    """A random oriented graph with round(n * mean_degree / 2) arcs."""
+    m = round(n * mean_degree / 2)
+    arcs: set[tuple[int, int]] = set()
+    while len(arcs) < m:
+        u, v = rng.sample(range(n), 2)
+        if (u, v) not in arcs and (v, u) not in arcs:
+            arcs.add((u, v))
+    return MixedGraph(n, frozenset(), frozenset(arcs))
 
 
 def random_nae_instance(num_vars: int, num_clauses: int, rng: random.Random) -> CnfInstance:

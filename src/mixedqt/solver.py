@@ -6,11 +6,15 @@ joined by some 2-dipath.  A graph admits such a partial orientation exactly
 when it arises as the undirected square of an oriented graph, which is what
 :func:`decide_qt` decides.
 
-The exact solver assigns each edge one of three states (kept as an edge,
-oriented forward, oriented backward) and searches with constraint
-propagation.  Edges lying in no triangle must become arcs and their endpoints
-must be sources or sinks, which drives an alternating propagation along
-triangle-free paths.
+The exact solver states the definition as a CNF over each region it has to
+search: per edge, one variable for each of its two arcs (kept when both are
+false); per wedge under an edge, one variable for each direction, which
+implies that direction's two arcs, with one clause per edge asking for an
+arc or a covering wedge; a binary clause against each possible induced
+2-dipath; and a variable per pinned vertex making it a source or a sink.
+The clause-learning solver of :mod:`mixedqt.sat` decides it.  An edge lying
+in no triangle has no wedge, so it must be an arc, and the induced-2-dipath
+clauses then make its endpoints sources or sinks.
 
 The search rests on one fact: a source or a sink is never the middle of a
 2-dipath.  So fix a source/sink polarity on every vertex of any set S.  Then
@@ -21,34 +25,30 @@ region is orientable under the fixed polarities.  An edge between two
 vertices of S becomes the arc from the source to the sink: that arc lies on
 no 2-dipath, and a kept edge there would cover nothing.
 
-Two kinds of vertex are forced to be sources or sinks.  The vertices on
-triangle-free edges are, by the propagation above.  So is each vertex of an
-independent vertex cut (with neighbours on both sides), a cut vertex being a
-cut of one.  It has an arc, because a kept edge is covered by a 2-dipath
-through both its ends.  It is not internal: an in-arc and an out-arc on
-opposite sides form an induced 2-dipath.  With both on one side, an edge to
-the other side can be neither an arc nor a kept edge: a kept edge's covering
-2-dipath passes through a common neighbour, which lies on that other side
-too, and any arc at the cut vertex to that side would form an induced
-2-dipath with one of the first two arcs.  The argument holds inside a region
-under fixed polarities as well.
+Two kinds of vertex are forced to be sources or sinks: those on
+triangle-free edges, as above, and the cut vertices of a region.  A cut
+vertex c has an arc, because a kept edge is covered by a 2-dipath through
+both its ends.  It is not internal: an in-arc and an out-arc on opposite
+sides form an induced 2-dipath.  With both on one side, an edge cx to the
+other side can be neither an arc, which would form an induced 2-dipath with
+one of them, nor a kept edge, whose covering 2-dipath would pass through a
+common neighbour on x's side and so put an arc at c on that side.  The
+argument holds inside a region under fixed polarities as well.
 
 :func:`decide_qt` starts with S = the vertices on triangle-free edges and a
 worklist of regions: the components of G - S, each with its neighbours in S.
 A region with more than ``FLAT_CUTOFF`` edges is split at all of its cut
-vertices or, when it has none, at a small independent cut: the cut joins S,
-and the components of the region - S, each with its neighbours in S, take
-its place on the worklist.  A region with no cut is final.  A region
-without a cut vertex in which every vertex's neighbourhood is connected (a
-locally connected region, such as the square of a directed path) has no
-independent cut at all, so none is sought there.  Adjacent
-vertices of S alternate, so each connected piece of the graph S induces is
-a polarity class decided by one bit, and an odd cycle there is a NO before
-any search.  The class bits are searched; each final region is a constraint
-over the classes it touches, decided lazily by a memoised flat search whose
-results are shared per region shape (the region relabelled in vertex order),
-so regions of one shape are searched once per pattern of their bits.  A
-final region that touches no class is solved directly.
+vertices: they join S, and the components of the region - S, each with its
+neighbours in S, take its place on the worklist.  A region with no cut
+vertex is final.  Adjacent vertices of S alternate, so each connected piece
+of the graph S induces is a polarity class decided by one bit, and an odd
+cycle there is a NO before any search.  The class bits are searched; each
+final region is a constraint over the classes it touches, decided lazily
+and memoised per region shape (the region relabelled in vertex order).
+Each shape is encoded once per call, and each pattern of its class bits is
+solved as assumptions on its pin variables, so what the solver learns under
+one pattern serves the next.  A final region that touches no class is
+solved directly.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from .graphs import (
     triangle_free_edges,
     underlying,
 )
+from .sat import Solver
 
 
 class VertexStatus(Enum):
@@ -316,12 +317,8 @@ class BudgetExceeded(RuntimeError):
         self.nodes = nodes
 
 
-# Regions with at most FLAT_CUTOFF edges are searched directly; independent
-# cuts of 2..MAX_CUT_SIZE vertices are only sought in regions of at most
-# CUT_SEARCH_LIMIT vertices without a cut vertex.
+# Regions with at most FLAT_CUTOFF edges are not split further.
 FLAT_CUTOFF = 10
-MAX_CUT_SIZE = 3
-CUT_SEARCH_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -330,8 +327,11 @@ class SolveOptions:
 
     ``node_limit`` bounds the number of search nodes before raising
     :class:`BudgetExceeded`; None means unbounded, negative values are
-    rejected.  A NO that needs no search (an odd cycle of edges between
-    vertices on triangle-free edges) is returned whatever the limit.
+    rejected.  A node is one bit tried in the search over polarity classes,
+    one region solve that is not answered from the memo, or one decision or
+    one conflict of the clause-learning solver inside such a solve.  A NO
+    that needs no search (an odd cycle of edges between vertices on
+    triangle-free edges) is returned whatever the limit.
     """
 
     node_limit: int | None = None
@@ -354,275 +354,69 @@ class _Budget:
             raise BudgetExceeded(self.nodes)
 
 
-_KEPT, _FWD, _REV = 1, 2, 4
-_SINGLETONS = {_KEPT, _FWD, _REV}
-_BRANCH_ORDER = (_FWD, _REV, _KEPT)
-# _TWO_LEFT[d]: domain d has exactly two values left
-_TWO_LEFT = (False, False, False, True, False, True, True, False)
+def _encode(k: int, edges: frozenset[Edge], pinned: tuple[int, ...]
+            ) -> tuple[list[Edge], Solver, list[int]]:
+    """The module's CNF for a region shape on vertices 0..k-1, with the
+    polarities of its pinned vertices left open, and its solver.
 
-
-class _FlatSearch:
-    """The state of one flat search, changed in place and undone by a trail.
-
-    Each trail entry records one change: ``j << 3 | old`` restores edge j's
-    domain to ``old`` (never 0), ``j << 3`` takes edge j out of ``applied``
-    and ``~v`` (negative) removes vertex v's polarity.  ``two`` and
-    ``three`` are bitmasks of the edges with two and three values left,
-    kept in step with every domain change and every undo.
+    Edge i of the sorted edge list has variable 2i for the arc from its
+    lower end and 2i + 1 for the reverse arc; the pins' variables come next
+    (true: a source) and the wedges' last.  Returns the edge list, the
+    solver and the pins' positive literals, in the order of ``pinned``.
     """
+    elist = sorted(edges)
+    adj: list[set[int]] = [set() for _ in range(k)]
+    for u, v in elist:
+        adj[u].add(v)
+        adj[v].add(u)
+    wedges = [sorted(adj[u] & adj[v]) for u, v in elist]
+    first_pin = 2 * len(elist)   # the pins' variables follow the arcs', then the wedges'
+    first_wedge = first_pin + len(pinned)
+    nvars = first_wedge + 2 * sum(map(len, wedges))
+    lits = list(range(2 * nvars))   # one int object per literal, shared by its clauses
+    index = {e: 4 * i for i, e in enumerate(elist)}
 
-    __slots__ = ("elist", "adj", "inc", "wedges", "two_sided",
-                 "dom", "pol", "applied", "trail", "two", "three")
+    def arc(a: int, b: int) -> int:
+        return lits[index[a, b]] if a < b else lits[index[b, a] + 2]
 
-    def __init__(self, vertices: frozenset[int], edges: frozenset[Edge],
-                 adj: dict[int, set[int]], forced: dict[int, int]):
-        self.elist = sorted(edges)
-        eidx = {e: i for i, e in enumerate(self.elist)}
-        self.adj = adj
-        inc: dict[int, list[int]] = {v: [] for v in vertices}
-        for i, (u, v) in enumerate(self.elist):
-            inc[u].append(i)
-            inc[v].append(i)
-        self.inc = inc
-        wedges = []
-        two_sided = set(forced)
-        for u, v in self.elist:
-            ws = []
-            for w in sorted(adj[u] & adj[v]):
-                j1 = eidx[edge(u, w)]
-                j2 = eidx[edge(w, v)]
-                b1 = _FWD if u < w else _REV      # orients u -> w
-                b2 = _FWD if w < v else _REV      # orients w -> v
-                ws.append((j1, b1, j2, b2))
-            wedges.append(tuple(ws))
-            if not ws:
-                two_sided.add(u)
-                two_sided.add(v)
-        self.wedges = wedges
-        self.two_sided = two_sided
-        self.dom = [(_KEPT | _FWD | _REV) if ws else (_FWD | _REV) for ws in wedges]
-        self.pol = dict(forced)
-        self.applied: set[int] = set()
-        self.trail: list[int] = []
-        self.three = sum(1 << i for i, ws in enumerate(wedges) if ws)
-        self.two = ((1 << len(wedges)) - 1) ^ self.three
-
-    def arc_bit(self, i: int, tail: int) -> int:
-        """Domain bit orienting edge i away from ``tail``."""
-        return _FWD if tail == self.elist[i][0] else _REV
-
-    def narrow(self, j: int, nd: int) -> None:
-        """Shrink edge j's domain to ``nd`` and log the old value."""
-        old = self.dom[j]
-        self.trail.append(j << 3 | old)
-        self.dom[j] = nd
-        b = 1 << j
-        if old == 7:
-            self.three ^= b
-        if _TWO_LEFT[old] != _TWO_LEFT[nd]:
-            self.two ^= b
-
-    def undo(self, mark: int) -> None:
-        """Pop the trail back to ``mark``, restoring every logged change."""
-        dom, trail = self.dom, self.trail
-        two, three = self.two, self.three
-        while len(trail) > mark:
-            e = trail.pop()
-            if e < 0:
-                del self.pol[~e]
-            elif e & 7:
-                j, old = e >> 3, e & 7
-                b = 1 << j
-                if old == 7:
-                    three ^= b
-                if _TWO_LEFT[old] != _TWO_LEFT[dom[j]]:
-                    two ^= b
-                dom[j] = old
-            else:
-                self.applied.discard(e >> 3)
-        self.two, self.three = two, three
-
-    def branch_edge(self) -> int:
-        """The lowest-indexed edge with the fewest values left, or -1 when
-        every edge is decided."""
-        mask = self.two or self.three
-        return (mask & -mask).bit_length() - 1
-
-    def supported(self, i: int) -> bool:
-        dom = self.dom
-        for j1, b1, j2, b2 in self.wedges[i]:
-            if dom[j1] & b1 and dom[j2] & b2:
-                return True
-            if dom[j2] & (b2 ^ 6) and dom[j1] & (b1 ^ 6):
-                return True
-        return False
-
-    def propagate(self, work: list[int], vwork: list[int]) -> bool:
-        """Run pruning rules to a fixpoint; False on contradiction.
-
-        ``work`` holds edge indices to (re)examine and ``vwork`` vertices
-        whose polarity still has to be applied.  Domains only shrink, so the
-        fixpoint is unique.
-        """
-        dom, pol, applied, trail = self.dom, self.pol, self.applied, self.trail
-        elist, inc, adj, two_sided = self.elist, self.inc, self.adj, self.two_sided
-        narrow, arc_bit = self.narrow, self.arc_bit
-
-        def clear(j: int, bits: int) -> bool:
-            nd = dom[j] & ~bits
-            if nd == dom[j]:
-                return True
-            narrow(j, nd)
-            if nd == 0:
-                return False
-            work.append(j)
-            for x in elist[j]:
-                for k in inc[x]:
-                    if dom[k] & _KEPT:
-                        work.append(k)
-            return True
-
-        def set_pol(v: int, p: int) -> bool:
-            cur = pol.get(v)
-            if cur is not None:
-                return cur == p
-            pol[v] = p
-            trail.append(~v)
-            vwork.append(v)
-            return True
-
-        while work or vwork:
-            while vwork:
-                v = vwork.pop()
-                p = pol[v]
-                for j in inc[v]:
-                    # a source admits no incoming arc, a sink no outgoing one
-                    other = elist[j][1] if elist[j][0] == v else elist[j][0]
-                    forbidden = arc_bit(j, other) if p == 1 else arc_bit(j, v)
-                    if not clear(j, forbidden):
-                        return False
-            if not work:
-                break
-            i = work.pop()
-            d = dom[i]
-            if d == 0:
-                return False
-            if d & _KEPT and not self.supported(i):
-                if not clear(i, _KEPT):
-                    return False
-                d = dom[i]
-            if d in _SINGLETONS and i not in applied:
-                applied.add(i)
-                trail.append(i << 3)
-                if d != _KEPT:
-                    u, v = elist[i]
-                    a, b = (u, v) if d == _FWD else (v, u)
-                    if b in two_sided and not set_pol(b, -1):
-                        return False
-                    if a in two_sided and not set_pol(a, 1):
-                        return False
-                    # arc a -> b: forbid extensions into induced 2-dipaths
-                    for j in inc[b]:
-                        if j == i:
-                            continue
-                        y = elist[j][1] if elist[j][0] == b else elist[j][0]
-                        if y != a and y not in adj[a]:
-                            if not clear(j, arc_bit(j, b)):
-                                return False
-                    for j in inc[a]:
-                        if j == i:
-                            continue
-                        x = elist[j][1] if elist[j][0] == a else elist[j][0]
-                        if x != b and x not in adj[b]:
-                            if not clear(j, arc_bit(j, x)):
-                                return False
-        return True
-
-    def is_qt(self) -> bool:
-        """Full quasi-transitivity check of a fully decided assignment."""
-        dom, elist, adj = self.dom, self.elist, self.adj
-        out: dict[int, set[int]] = {v: set() for v in self.inc}
-        inn: dict[int, set[int]] = {v: set() for v in self.inc}
-        for i, (u, v) in enumerate(elist):
-            if dom[i] == _FWD:
-                out[u].add(v)
-                inn[v].add(u)
-            elif dom[i] == _REV:
-                out[v].add(u)
-                inn[u].add(v)
-        for w in self.inc:
-            for u in inn[w]:
-                for v in out[w]:
+    def clauses() -> Iterator[tuple[int, ...] | list[int]]:
+        x = 2 * first_wedge   # the next wedge variable's literal
+        for (u, v), ws in zip(elist, wedges):
+            yield lits[arc(u, v) ^ 1], lits[arc(v, u) ^ 1]
+            cover = [arc(u, v), arc(v, u)]
+            for w in ws:
+                for a, b in ((u, v), (v, u)):
+                    yield lits[x + 1], arc(a, w)
+                    yield lits[x + 1], arc(w, b)
+                    cover.append(lits[x])
+                    x += 2
+            yield cover
+        for w in range(k):
+            for u in adj[w]:
+                for v in adj[w]:
                     if u != v and v not in adj[u]:
-                        return False
-        for i, (u, v) in enumerate(elist):
-            if dom[i] == _KEPT and not ((out[u] & inn[v]) or (out[v] & inn[u])):
-                return False
-        return True
+                        yield lits[arc(u, w) ^ 1], lits[arc(w, v) ^ 1]
+        for v, p in zip(pinned, range(2 * first_pin, 2 * first_wedge, 2)):
+            for x in adj[v]:
+                yield lits[p + 1], lits[arc(x, v) ^ 1]
+                yield lits[p], lits[arc(v, x) ^ 1]
 
-    def extract(self) -> tuple[frozenset[Edge], frozenset[tuple[int, int]]]:
-        dom, elist = self.dom, self.elist
-        kept = frozenset(e for e, d in zip(elist, dom) if d == _KEPT)
-        arcs = frozenset(e if d == _FWD else (e[1], e[0])
-                         for e, d in zip(elist, dom) if d in (_FWD, _REV))
-        return kept, arcs
+    return elist, Solver(nvars, clauses()), lits[2 * first_pin:2 * first_wedge:2]
 
 
-def _flat_solve(vertices: frozenset[int], edges: frozenset[Edge],
-                adj: dict[int, set[int]], forced: dict[int, int],
-                budget: _Budget) -> tuple[frozenset[Edge], frozenset[tuple[int, int]]] | None:
-    """Depth-first search over edge states with propagation, without recursion.
-
-    The search keeps an explicit stack of frames, each holding its branch
-    edge, the index of the next value to try (forward, backward, kept) and
-    its mark on the undo trail of :class:`_FlatSearch`.  Propagation changes
-    the one state in place; backtracking pops the trail back to the frame's
-    mark.  The branch edge is the lowest-indexed edge with the fewest values
-    left, read off the bitmasks of edges with two and with three values.
-    One node is spent at the root after the first propagation and one after
-    each branch value that propagates without contradiction.
-    """
-    s = _FlatSearch(vertices, edges, adj, forced)
-    if not s.propagate(list(range(len(s.elist))), list(s.pol)):
-        return None
-    budget.spend()
-    stack: list[list[int]] = []
-    while True:
-        i = s.branch_edge()
-        if i >= 0:
-            stack.append([i, 0, len(s.trail)])
-        elif s.is_qt():
-            return s.extract()
-        # move the top frame on to its next value that propagates; every
-        # polarity was applied by the time of the frame's mark, so the
-        # propagation starts from the branch edge alone
-        while stack:
-            frame = stack[-1]
-            i, k, mark = frame
-            s.undo(mark)
-            while k < 3:
-                value = _BRANCH_ORDER[k]
-                k += 1
-                if s.dom[i] & value:
-                    s.narrow(i, value)
-                    if s.propagate([i], []):
-                        break
-                    s.undo(mark)
-            else:
-                stack.pop()
-                continue
-            frame[1] = k
-            break
-        else:
-            return None
-        budget.spend()
+def _decode(elist: list[Edge], model: list[bool]
+            ) -> tuple[frozenset[Edge], frozenset[tuple[int, int]]]:
+    """The kept edges and the arcs of a model of :func:`_encode`'s CNF."""
+    states = [(e, model[2 * i], model[2 * i + 1]) for i, e in enumerate(elist)]
+    return (frozenset(e for e, f, r in states if not (f or r)),
+            frozenset(e if f else (e[1], e[0]) for e, f, r in states if f or r))
 
 
 _Shape = tuple[list[int], frozenset[Edge], tuple[tuple[int, int, int], ...]]
 
 
 class _ComponentSolver:
-    """The memoised flat solve of one :func:`decide_qt` call.
+    """The memoised region solves of one :func:`decide_qt` call.
 
     Each connected piece of the graph the fixed vertices induce is a
     polarity class; a vertex outside them is a class of its own.
@@ -630,12 +424,9 @@ class _ComponentSolver:
     the 2-colouring of that graph.  A final region is solved once for each
     pattern of bits on the classes it touches, and the result is shared by
     every region of the same shape: the region relabelled in vertex order,
-    its sorted vertices mapped to 0..k-1, with its edges and its forced
-    polarities under that map.  The map keeps vertex order, so the sorted
-    edge list, every wedge list and the propagation fixpoint are those of
-    the region itself, and so are the search and its witness; the clause
-    gadgets of an NAE reduction are searched once per pattern, not once per
-    clause.
+    its sorted vertices mapped to 0..k-1, with its edges and its fixed
+    vertices under that map.  Each shape is encoded once, and each pattern
+    is solved as assumptions on its pin literals.
     """
 
     def __init__(self, adj: tuple[frozenset[int], ...], fixed_graph: Graph,
@@ -648,6 +439,7 @@ class _ComponentSolver:
         self.parity = parity
         self.budget = budget
         self.memo: dict = {}
+        self.engines: dict = {}
 
     def shape(self, region: frozenset[int], fixed: set[int]) -> _Shape:
         """The region relabelled in vertex order: its sorted vertices, its
@@ -665,88 +457,19 @@ class _ComponentSolver:
         """Kept edges and arcs orienting a region's shape, in its local
         labels, or None, given the bits of the classes it touches."""
         order, edges, pins = shape
-        forced = tuple((i, 1 if p == bits[c] else -1) for i, c, p in pins)
-        key = (edges, forced)
-        if key in self.memo:
-            return self.memo[key]
+        forced = tuple(p == bits[c] for _i, c, p in pins)   # True: a source
+        key = (edges, tuple(i for i, _c, _p in pins))
+        if (key, forced) in self.memo:
+            return self.memo[key, forced]
         self.budget.spend()
-        adj: dict[int, set[int]] = {i: set() for i in range(len(order))}
-        for a, b in edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        result = _flat_solve(frozenset(adj), edges, adj, dict(forced), self.budget)
-        self.memo[key] = result
+        if key not in self.engines:
+            self.engines[key] = _encode(len(order), *key)
+        elist, sat, pin_lits = self.engines[key]
+        model = sat.solve([x if f else x ^ 1 for x, f in zip(pin_lits, forced)],
+                          self.budget.spend)
+        result = None if model is None else _decode(elist, model)
+        self.memo[key, forced] = result
         return result
-
-
-def _region_cut(vertices: frozenset[int], adj: dict[int, frozenset[int]]) -> frozenset[int]:
-    """The vertices at which a region splits: all of its cut vertices or,
-    when it has none and at most ``CUT_SEARCH_LIMIT`` vertices, the smallest
-    independent cut :func:`_grow_cut` finds; empty when there is neither.
-
-    A region without a cut vertex whose every vertex has a connected
-    neighbourhood has no independent cut, so :func:`_grow_cut` is not run
-    there.  Take an inclusion-minimal independent cut B.  Each v in B has
-    neighbours in two components of the region - B, or B - v would still
-    separate it (and be non-empty, as v alone is no cut vertex).  B is
-    independent, so those neighbours lie in the region - B, where no edge
-    joins two components: v's neighbourhood is disconnected.
-    """
-    points = _articulation_points(vertices, adj)
-    if (points or len(vertices) > CUT_SEARCH_LIMIT
-            or all(len(_components_of(adj[v], adj)) == 1 for v in vertices)):
-        return frozenset(points)
-    best = frozenset()
-    for seed in sorted(vertices):
-        cut = _grow_cut(seed, vertices, adj)
-        if cut and (not best or len(cut) < len(best)):
-            best = cut
-            if len(best) == 2:
-                break
-    return best
-
-
-def _grow_cut(seed: int, vertices: frozenset[int],
-              adj: dict[int, frozenset[int]]) -> frozenset[int] | None:
-    """Grow a region from ``seed`` until its neighbourhood is an independent
-    set of at most ``MAX_CUT_SIZE`` vertices separating it from the rest.
-
-    A greedy heuristic: boundary vertices with no neighbour outside are
-    absorbed, otherwise the vertex whose absorption keeps the boundary
-    smallest is taken.  Finding a cut is a performance device only, so
-    incompleteness here costs time, never correctness.
-    """
-    region = {seed}
-    boundary = set(adj[seed])
-    rest = vertices - region - boundary
-    while True:
-        if not boundary or not rest:
-            return None
-        # the absorb test reads ``rest`` as it stood before the pass
-        absorbed = False
-        for b in sorted(boundary):
-            if not adj[b] & rest:
-                region.add(b)
-                boundary.discard(b)
-                boundary |= adj[b] - region
-                absorbed = True
-        if absorbed:
-            rest -= boundary
-            continue
-        if len(boundary) <= MAX_CUT_SIZE and not any(
-                adj[a] & boundary for a in boundary):
-            return frozenset(boundary)
-        # taking b moves its neighbours in ``rest`` into the boundary
-        pick = None
-        pick_size = None
-        for b in sorted(boundary):
-            size = len(adj[b] & rest)
-            if pick_size is None or size < pick_size:
-                pick, pick_size = b, size
-        region.add(pick)
-        boundary.discard(pick)
-        boundary |= adj[pick] - region
-        rest -= boundary
 
 
 def _search_classes(solver: _ComponentSolver,
@@ -837,7 +560,8 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation 
     # the pieces of a split region are appended, so this loop meets them too
     for region in regions:
         adj = {v: adj0[v] & region for v in region}
-        cut = _region_cut(region, adj) if sum(map(len, adj.values())) > 2 * FLAT_CUTOFF else None
+        cut = (_articulation_points(region, adj)
+               if sum(map(len, adj.values())) > 2 * FLAT_CUTOFF else None)
         if cut:
             fixed |= cut
             regions.extend(_regions(region, adj0, fixed))
@@ -865,6 +589,7 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation 
     if bits is None:
         return None
     solved += [(shape[0], solver.solve(shape, bits)) for shape, _scope in constraints]
+    del solver   # its region solvers are done with; free them before the witness is built
     kept: set[Edge] = set()
     arcs: set[tuple[int, int]] = set()
     for order, (sub_kept, sub_arcs) in solved:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from mixedqt.cli import run
+from mixedqt.cli import _build_parser, run
 from mixedqt.formats import parse_graph, parse_mixed, serialize_graph, serialize_mixed
 from mixedqt.graphs import Graph, MixedGraph, complete_graph, edge, undirected_square
 from mixedqt.reduction import parse_assignment
@@ -73,6 +73,14 @@ class TestDecide:
         gfile.write_text(serialize_graph(k6_c5))
         assert run(["decide", str(gfile), "--method", "exact", "--node-limit", "1"]) == 1
         assert capsys.readouterr().out.strip() == "NO"
+
+    def test_one_parser_serves_every_run(self, capsys):
+        # the parser is built once, so nothing of one run may reach the next
+        assert run(["decide", fx("k5.graph"), "--json", "--node-limit", "1"]) == 3
+        capsys.readouterr()
+        assert run(["decide", fx("k5.graph")]) == 0
+        assert capsys.readouterr().out.strip() == "YES"
+        assert _build_parser() is _build_parser()
 
     @pytest.mark.parametrize("name", ["c5.graph", "k5.graph"])
     def test_negative_node_limit_is_usage_error(self, name):

@@ -9,6 +9,7 @@ from mixedqt.generate import (
     random_connected_graph,
     random_graph,
     random_nae_instance,
+    random_oriented,
 )
 from mixedqt.graphs import Graph, is_connected
 
@@ -91,3 +92,15 @@ class TestRandomGenerators:
         a = random_connected_graph(8, 3, random.Random(5))
         b = random_connected_graph(8, 3, random.Random(5))
         assert a == b
+
+    def test_random_oriented_stream(self, rng):
+        import random
+
+        for _ in range(25):
+            n, d = rng.randint(5, 30), rng.choice((1.0, 1.5, 2.0))
+            m = random_oriented(n, d, rng)
+            assert not m.edges and len(m.arcs) == round(n * d / 2)
+            assert not any((v, u) in m.arcs for u, v in m.arcs)
+        # the stream the benchmark's ladders draw, pinned
+        assert sorted(random_oriented(6, 2.0, random.Random("pin")).arcs) == [
+            (0, 4), (1, 3), (1, 4), (1, 5), (3, 4), (5, 0)]

@@ -1,0 +1,90 @@
+from itertools import combinations, product
+
+import pytest
+
+from mixedqt.sat import Solver
+
+
+def brute_force(num_vars, clauses, assumptions):
+    """Whether some assignment satisfies every clause and assumption."""
+    for bits in product((False, True), repeat=num_vars):
+        def holds(lit):
+            return bits[lit >> 1] != bool(lit & 1)
+
+        if all(map(holds, assumptions)) and all(any(map(holds, c)) for c in clauses):
+            return True
+    return False
+
+
+def satisfies(model, clauses, assumptions):
+    def holds(lit):
+        return model[lit >> 1] != bool(lit & 1)
+
+    return all(map(holds, assumptions)) and all(any(map(holds, c)) for c in clauses)
+
+
+def random_cnf(rng, num_vars, num_clauses):
+    clauses = []
+    for _ in range(num_clauses):
+        chosen = rng.sample(range(num_vars), rng.randint(2, min(4, num_vars)))
+        clauses.append([2 * v + rng.randint(0, 1) for v in chosen])
+    return clauses
+
+
+def pigeonhole(pigeons, holes):
+    """Every pigeon in some hole, no two in one: unsatisfiable when there
+    are more pigeons than holes."""
+    var = [[p * holes + h for h in range(holes)] for p in range(pigeons)]
+    clauses = [[2 * var[p][h] for h in range(holes)] for p in range(pigeons)]
+    for h in range(holes):
+        for a, b in combinations(range(pigeons), 2):
+            clauses.append([2 * var[a][h] + 1, 2 * var[b][h] + 1])
+    return pigeons * holes, clauses
+
+
+def test_agrees_with_brute_force_under_assumptions(rng):
+    # one solver answers several sets of assumptions in turn, so clauses
+    # learnt under one set must stay sound under the next
+    answers = [0, 0]
+    for _ in range(300):
+        num_vars = rng.randint(2, 9)
+        clauses = random_cnf(rng, num_vars, rng.randint(1, 5 * num_vars))
+        solver = Solver(num_vars, clauses)
+        for _ in range(3):
+            assumed = rng.sample(range(num_vars), rng.randint(0, num_vars // 2))
+            assumptions = [2 * v + rng.randint(0, 1) for v in assumed]
+            model = solver.solve(assumptions, lambda: None)
+            expected = brute_force(num_vars, clauses, assumptions)
+            assert (model is not None) == expected
+            if model is not None:
+                assert len(model) == num_vars and satisfies(model, clauses, assumptions)
+            answers[expected] += 1
+    assert min(answers) > 100
+
+
+def test_pigeonhole_refuted_across_activity_rescaling():
+    # started just below the point where activities are scaled down, so
+    # the refutation runs on both sides of it
+    num_vars, clauses = pigeonhole(6, 5)
+    solver = Solver(num_vars, clauses)
+    solver.bump = 1e99
+    assert solver.solve([], lambda: None) is None
+    assert solver.bump < 1e99   # scaled down
+    # an unsatisfiable formula stays refuted, whatever is assumed
+    assert solver.solve([0], lambda: None) is None
+
+
+def test_search_resumes_after_spend_raises():
+    num_vars, clauses = pigeonhole(5, 5)
+    solver = Solver(num_vars, clauses)
+    calls = []
+
+    def stop_early():
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("budget")
+
+    with pytest.raises(RuntimeError):
+        solver.solve([], stop_early)
+    model = solver.solve([1], lambda: None)
+    assert model is not None and not model[0] and satisfies(model, clauses, [1])

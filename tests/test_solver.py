@@ -1,4 +1,5 @@
 import hashlib
+import random
 import sys
 from collections import Counter
 from itertools import combinations, product
@@ -10,14 +11,11 @@ from hypothesis import strategies as st
 
 import mixedqt.solver as solver_module
 from mixedqt.formats import serialize_mixed
-from mixedqt.generate import random_connected_graph, random_nae_instance
+from mixedqt.generate import random_connected_graph, random_nae_instance, random_oriented
 from mixedqt.graphs import (
     Graph,
     MixedGraph,
-    _articulation_points,
-    _components_of,
     complete_graph,
-    cut_vertices,
     cycle_graph,
     edge,
     independent_vertex_cuts,
@@ -34,6 +32,7 @@ from mixedqt.reduction import (
     parse_dimacs,
     witness_to_assignment,
 )
+from mixedqt.sat import Solver
 from mixedqt.solver import (
     BudgetExceeded,
     InducedTwoDipath,
@@ -285,20 +284,17 @@ class TestDecideQt:
     def test_decomposition_agrees_with_enumeration(self, rng, monkeypatch):
         # glued pairs have 11-16 edges, more than FLAT_CUTOFF, so the
         # regions they leave between vertices on triangle-free edges are
-        # split further: at all cut vertices at once, or else at an
-        # independent 2- or 3-vertex cut; the dense pairs, which have no
-        # vertex on a triangle-free edge, are the ones that reach 3-vertex cuts
-        cuts = Counter()
-        region_cut = solver_module._region_cut
+        # split further at their cut vertices; the dense pairs have no
+        # vertex on a triangle-free edge
+        fired = Counter()
+        articulation_points = solver_module._articulation_points
 
         def spy(vertices, adj):
-            found = region_cut(vertices, adj)
-            if found:
-                points = _articulation_points(vertices, adj)
-                cuts["cut vertices" if found == points else len(found)] += 1
-            return found
+            points = articulation_points(vertices, adj)
+            fired[bool(points)] += 1
+            return points
 
-        monkeypatch.setattr(solver_module, "_region_cut", spy)
+        monkeypatch.setattr(solver_module, "_articulation_points", spy)
         for g in [glued_pair(rng) for _ in range(200)] + [
                 glued_pair(rng, dense=True) for _ in range(50)]:
             first = next(iter(enumerate_qt(g)), None)
@@ -311,42 +307,7 @@ class TestDecideQt:
                     for v in cut:
                         assert vertex_status(first.mixed, v) in (
                             VertexStatus.SOURCE, VertexStatus.SINK)
-        assert set(cuts) == {"cut vertices", 2, 3}
-
-    def test_locally_connected_graphs_have_no_independent_cut(self, rng):
-        # why _region_cut skips its greedy search when every neighbourhood
-        # is connected: without a cut vertex, a vertex of an inclusion-minimal
-        # independent cut has neighbours in two components of the rest
-        seen = Counter()
-        for _ in range(2000):
-            g = random_connected_graph(rng.randint(4, 10), 9, rng)
-            if cut_vertices(g):
-                continue
-            adj = dict(enumerate(g.adj))
-            local = all(len(_components_of(adj[v], adj)) == 1 for v in adj)
-            has_cut = bool(independent_vertex_cuts(g, g.n))
-            seen[local, has_cut] += 1
-            if local:
-                assert not has_cut
-                vertices = frozenset(adj)
-                assert all(solver_module._grow_cut(v, vertices, adj) is None for v in adj)
-        # both kinds occur, and the oracle does find cuts where one exists
-        assert seen[True, False] and seen[False, True]
-
-    @pytest.mark.parametrize("n", [64, 256])
-    def test_no_cut_search_on_dipath_square(self, n, monkeypatch):
-        # every neighbourhood of P_n squared is connected, so no greedy
-        # growth can find an independent cut and none is started
-        seeds = []
-        grow_cut = solver_module._grow_cut
-
-        def spy(seed, vertices, adj):
-            seeds.append(seed)
-            return grow_cut(seed, vertices, adj)
-
-        monkeypatch.setattr(solver_module, "_grow_cut", spy)
-        assert decide_qt(dipath_square(n)) is not None
-        assert seeds == []
+        assert fired[True] > 0
 
     def test_agrees_with_enumeration(self, deg3_corpus):
         for g in deg3_corpus:
@@ -380,6 +341,13 @@ class TestDecideQt:
                     assert is_nae_satisfying(y, witness_to_assignment(rm, w.mixed))
         assert answers[True] > 100 and answers[False] >= 30
 
+    def test_random_squares_get_verified_witnesses(self):
+        # squares of random oriented graphs are YES by construction
+        for n, d, s in product(range(10, 31, 2), (1.5, 2.0, 2.5), range(10)):
+            g = undirected_square(random_oriented(n, d, random.Random(f"fuzz/{n}/{d}/{s}")))
+            w = decide_qt(g, SolveOptions(node_limit=20000))
+            assert w is not None and verify_witness(g, w.mixed).ok, (n, d, s)
+
     def test_budget_raises(self):
         with pytest.raises(BudgetExceeded):
             decide_qt(complete_graph(6), SolveOptions(node_limit=1))
@@ -393,12 +361,12 @@ class TestDecideQt:
         assert decide_qt(g, SolveOptions(node_limit=1)) is None
 
     @pytest.mark.parametrize("make, answer, nodes", [
-        (lambda: build_reduction(fixture_formula("fano.cnf"))[0], False, 211),
-        (lambda: build_reduction(COMPLETE_5)[0], False, 127),
-        (lambda: dipath_square(256), True, 598),
-        (lambda: dipath_square(300), True, 698),
-        (lambda: dipath_square(402), True, 936),
-        (lambda: triangle_chain(600), True, 17),
+        (lambda: build_reduction(fixture_formula("fano.cnf"))[0], False, 161),
+        (lambda: build_reduction(COMPLETE_5)[0], False, 77),
+        (lambda: dipath_square(256), True, 256),
+        (lambda: dipath_square(300), True, 300),
+        (lambda: dipath_square(402), True, 402),
+        (lambda: triangle_chain(600), True, 10),
     ], ids=["fano", "complete-3-uniform-v5", "dipath-square-256", "dipath-square-300",
             "dipath-square-402", "triangle-chain-600"])
     def test_node_count_pinned(self, make, answer, nodes):
@@ -420,75 +388,87 @@ class TestDecideQt:
         one_clause, _ = build_reduction(fixture_formula("one_clause.cnf"))
         chain = triangle_chain(40)
         expected = [
-            (one_clause, "b32efe1abd1c8e96e4fb1984798a9f75577d525525d0fae543f3acdf976951bd"),
+            (one_clause, "63aee4452e3b5e85594456be2ac88bbf8c460a18af1ce52f2a1beb0fdaf55ac2"),
             (dipath_square(64),
-             "6d4bb63627bddc599a92cd10f65493768054a58ab04f22d8c4a877ce9c3075bf"),
-            (chain, "48d23b9f6f443d00f2ff4f25fe0cba1278744ccc2994d83b16b08427c86045e6"),
+             "7e36c704eb7bff318148ee0061ec6f8e5c2c7a7e6d95c97aa7971f1dbb645d83"),
+            (chain, "0f1aa6d12fe141e214a124fc5808fee55a54ae52e96e3d9f87a6e19f31e1f10e"),
             (dipath_square(256),
-             "a94cccc7303493a47fba635128b0ac643a55578db2d438996ef09a093894bd87"),
+             "023230e68d146dcc77c78acd091a9b7bf83c59137ed4d1e2dd7a84c3ac69c8ef"),
             (dipath_square(402),
-             "5fe18187361a8f7d4d3f87c0eaf4074f015ddc9fc07c8867ade9afb5d053e048"),
+             "58a8954a67ce0cf3d069786aa2a73da45b2400629dac95ce17fde3497c913ae4"),
         ]
         for g, digest in expected:
             w = decide_qt(g)
             assert w is not None
             assert hashlib.sha256(serialize_mixed(w.mixed).encode()).hexdigest() == digest
 
-    def test_flat_solve_is_invariant_under_order_preserving_relabelling(self, rng):
-        # why regions of one shape may share a result: mapping the vertices
-        # through an increasing injection keeps the search, node for node
-        def f(v):
-            return 3 * v + 7
+    def test_region_engine_agrees_with_enumeration(self, rng):
+        # the CNF of one region shape, solved under two patterns of pins in
+        # turn, so clauses learnt under the first serve the second: an
+        # answer must match the enumerated orientations that give each
+        # source pin no in-arc and each sink pin no out-arc, and a model
+        # must decode to such an orientation
+        def arc_masks(m):
+            return (sum(1 << v for v in range(m.n) if m.in_adj[v]),
+                    sum(1 << v for v in range(m.n) if m.out_adj[v]))
 
+        profiles = {}   # the arc masks of every orientation, per graph
         answers = Counter()
-        for _ in range(300):
-            g = random_connected_graph(rng.randint(2, 9), 4, rng)
-            pinned = rng.sample(range(g.n), rng.randint(0, g.n))
-            forced = {v: rng.choice((1, -1)) for v in pinned}
-            rng.shuffle(pinned)  # polarities are applied in another order
-            runs = []
-            for vs, es, fs in [
-                    (range(g.n), g.edges, forced),
-                    (map(f, range(g.n)), {(f(u), f(v)) for u, v in g.edges},
-                     {f(v): forced[v] for v in pinned})]:
-                vertices, edges = frozenset(vs), frozenset(es)
-                adj = {v: set() for v in vertices}
-                for u, v in edges:
-                    adj[u].add(v)
-                    adj[v].add(u)
-                budget = solver_module._Budget(None)
-                runs.append((solver_module._flat_solve(vertices, edges, adj, fs, budget),
-                             budget.nodes))
-            (direct, nodes), (mapped, mapped_nodes) = runs
-            assert mapped_nodes == nodes
-            if direct is None:
-                assert mapped is None
-            else:
-                kept, arcs = direct
-                assert mapped == (frozenset((f(u), f(v)) for u, v in kept),
-                                  frozenset((f(u), f(v)) for u, v in arcs))
-            answers[direct is not None] += 1
-        assert answers[True] > 30 and answers[False] > 30
+        graphs_seen = 0
+        while graphs_seen < 1000:
+            g = random_connected_graph(rng.randint(2, 7), 4, rng)
+            if len(g.edges) > 12:
+                continue
+            graphs_seen += 1
+            if g not in profiles:
+                profiles[g] = {arc_masks(po.mixed) for po in enumerate_qt(g)}
+            pinned = tuple(sorted(rng.sample(range(g.n), rng.randint(0, g.n))))
+            elist, sat, pin_lits = solver_module._encode(g.n, g.edges, pinned)
+            for _pattern in range(2):
+                sources = {v for v in pinned if rng.random() < 0.5}
+                source_mask = sum(1 << v for v in sources)
+                sink_mask = sum(1 << v for v in pinned) ^ source_mask
+
+                def respects(masks):
+                    return not (masks[0] & source_mask or masks[1] & sink_mask)
+
+                model = sat.solve([x if v in sources else x ^ 1
+                                   for v, x in zip(pinned, pin_lits)], lambda: None)
+                expected = any(map(respects, profiles[g]))
+                assert (model is not None) == expected
+                if model is not None:
+                    kept, arcs = solver_module._decode(elist, model)
+                    m = MixedGraph(g.n, kept, arcs)
+                    assert verify_witness(g, m).ok and respects(arc_masks(m))
+                answers[expected] += 1
+        assert answers[True] > 300 and answers[False] > 300
 
     def test_regions_of_one_shape_share_a_flat_search(self, monkeypatch):
         # the second chain, numbered after the first, repeats its shapes and
-        # bit patterns, so it is answered from the memo
-        calls = []
-        flat_solve = solver_module._flat_solve
+        # bit patterns, so it is encoded and solved no more often
+        encodings, solves = [], []
+        encode, solve = solver_module._encode, Solver.solve
 
-        def spy(*args):
-            calls.append(args[0])
-            return flat_solve(*args)
+        def encode_spy(*args):
+            encodings.append(args)
+            return encode(*args)
 
-        monkeypatch.setattr(solver_module, "_flat_solve", spy)
+        def solve_spy(self, *args):
+            solves.append(args)
+            return solve(self, *args)
+
+        monkeypatch.setattr(solver_module, "_encode", encode_spy)
+        monkeypatch.setattr(Solver, "solve", solve_spy)
         chain = triangle_chain(20)
         assert decide_qt(chain) is not None
-        alone = len(calls)
-        calls.clear()
+        alone = len(encodings), len(solves)
+        encodings.clear()
+        solves.clear()
         g = disjoint_union(chain, chain)
         w = decide_qt(g)
         assert w is not None and verify_witness(g, w.mixed).ok
-        assert len(calls) == alone > 0
+        assert (len(encodings), len(solves)) == alone
+        assert alone[0] > 0 and alone[1] > 0
 
     def test_long_dipath_square_at_default_recursion_limit(self):
         # 2,001 edges, so the search runs deeper than Python's default

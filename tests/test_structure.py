@@ -272,13 +272,14 @@ class TestDecideDeg3:
 
     def test_decision_path_never_searches(self, deg3_corpus, monkeypatch, rng):
         # the boolean decider is reduction + subgraph detection + a
-        # 2-colouring; backtracking must never be reached, whatever the size
+        # 2-colouring; no region may ever be encoded for search, whatever
+        # the size
         import mixedqt.solver as solver_module
 
         def bomb(*args, **kwargs):
-            raise AssertionError("decide_deg3 invoked the backtracking solver")
+            raise AssertionError("decide_deg3 invoked the search")
 
-        monkeypatch.setattr(solver_module, "_flat_solve", bomb)
+        monkeypatch.setattr(solver_module, "_encode", bomb)
         for g in deg3_corpus:
             decide_deg3(g)
         for n in (20, 40, 80):
