@@ -5,9 +5,11 @@ Sweeps every connected graph up to a vertex bound (one representative per
 isomorphism class), under a degree-3 bound, a triangle-free restriction or
 none (``--family all``), and tabulates how many admit a quasi-transitive
 partial orientation.  Every graph is decided by the exact solver, by the
-family's polynomial decider where it has one, and by exhaustive enumeration
-where the edge cap allows; disagreements are reported, and the exit status
-is 1 when there is any.
+family's polynomial deciders where they apply (in both families, the
+degree-3 decider at maximum degree three and the bipartiteness decider when
+there is no triangle), and by exhaustive enumeration where the edge cap
+allows; disagreements are reported, and the exit status is 1 when there is
+any.
 """
 
 import argparse
@@ -17,7 +19,7 @@ import time
 from collections import Counter
 
 from mixedqt.generate import connected_graphs
-from mixedqt.graphs import girth
+from mixedqt.graphs import girth, has_triangle
 from mixedqt.solver import ENUMERATION_EDGE_CAP, decide_qt, enumerate_qt
 from mixedqt.structure import decide_deg3, decide_girth4, removable_vertices
 
@@ -45,10 +47,13 @@ def main() -> int:
         per_n[g.n] += 1
         exact = decide_qt(g) is not None
         answers = {exact}
-        if args.family == "deg3":
-            answers.add(decide_deg3(g))
-        elif args.family == "triangle-free":
-            answers.add(decide_girth4(g) is not None)
+        if args.family != "all":
+            # auto picks between these two deciders, so in both families each
+            # checks the other wherever both apply
+            if g.max_degree() <= 3:
+                answers.add(decide_deg3(g))
+            if not has_triangle(g):
+                answers.add(decide_girth4(g) is not None)
         if len(g.edges) <= ENUMERATION_EDGE_CAP:
             enumerated += 1
             answers.add(next(iter(enumerate_qt(g)), None) is not None)

@@ -133,10 +133,10 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
     method = args.method
     if method == "auto":
-        if g.max_degree() <= 3:
-            method = "deg3"
-        elif not has_triangle(g):
+        if not has_triangle(g):
             method = "girth4"
+        elif g.max_degree() <= 3:
+            method = "deg3"
         else:
             method = "exact"
     opts = SolveOptions(node_limit=args.node_limit)

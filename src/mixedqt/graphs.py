@@ -25,6 +25,31 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _checked_edges(edges: Iterable[Edge], n: int) -> frozenset[Edge]:
+    """The edge set of a graph on vertices 0..n-1, validated and normalised.
+
+    A frozenset of tuples ``(u, v)`` with ``0 <= u < v < n`` is already
+    normalised and is returned as it is after one pass.  Anything else is
+    rebuilt through :func:`edge` and range-checked, which raises the error
+    for a loop or an out-of-range pair.
+    """
+    if edges.__class__ is frozenset:
+        try:
+            for e in edges:
+                u, v = e
+                if e.__class__ is not tuple or not 0 <= u < v < n:
+                    break
+            else:
+                return edges
+        except (TypeError, ValueError):
+            pass  # malformed pairs: the rebuild below raises the usual error
+    norm = frozenset(edge(u, v) for u, v in edges)
+    for u, v in norm:
+        if not (0 <= u and v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+    return norm
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite simple undirected graph on vertices 0..n-1."""
@@ -35,11 +60,7 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("negative vertex count")
-        norm = frozenset(edge(u, v) for u, v in self.edges)
-        object.__setattr__(self, "edges", norm)
-        for u, v in norm:
-            if not (0 <= u and v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+        object.__setattr__(self, "edges", _checked_edges(self.edges, self.n))
 
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
@@ -77,12 +98,9 @@ class MixedGraph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("negative vertex count")
-        norm = frozenset(edge(u, v) for u, v in self.edges)
+        norm = _checked_edges(self.edges, self.n)
         object.__setattr__(self, "edges", norm)
         object.__setattr__(self, "arcs", frozenset(self.arcs))
-        for u, v in norm:
-            if not (0 <= u and v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
         for t, h in self.arcs:
             if t == h:
                 raise ValueError(f"loop arc at vertex {t}")
@@ -218,8 +236,8 @@ def edge_subgraph(g: Graph, x: Iterable[Edge]) -> tuple[Graph, tuple[int, ...]]:
         bad = sorted(xs - g.edges)[0]
         raise ValueError(f"pair {bad} is not an edge of the host graph")
     vertices = sorted({v for e in xs for v in e})
-    index = {v: i for i, v in enumerate(vertices)}
-    sub = Graph(len(vertices), frozenset(edge(index[u], index[v]) for u, v in xs))
+    index = {v: i for i, v in enumerate(vertices)}  # increasing, so pairs stay sorted
+    sub = Graph(len(vertices), frozenset((index[u], index[v]) for u, v in xs))
     return sub, tuple(vertices)
 
 
@@ -454,7 +472,7 @@ def delete_vertices(g: Graph, vs: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     if not doomed <= set(range(g.n)):
         raise ValueError("vertex to delete out of range")
     kept = tuple(v for v in range(g.n) if v not in doomed)
-    index = {v: i for i, v in enumerate(kept)}
-    edges = frozenset(edge(index[u], index[v]) for u, v in g.edges
+    index = {v: i for i, v in enumerate(kept)}  # increasing, so pairs stay sorted
+    edges = frozenset((index[u], index[v]) for u, v in g.edges
                       if u not in doomed and v not in doomed)
     return Graph(len(kept), edges), kept

@@ -1,11 +1,23 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from mixedqt.cli import _build_parser, run
 from mixedqt.formats import parse_graph, parse_mixed, serialize_graph, serialize_mixed
-from mixedqt.graphs import Graph, MixedGraph, complete_graph, edge, undirected_square
+from mixedqt.generate import random_connected_graph
+from mixedqt.graphs import (
+    Graph,
+    MixedGraph,
+    complete_graph,
+    cycle_graph,
+    edge,
+    has_triangle,
+    net_graph,
+    prism_graph,
+    undirected_square,
+)
 from mixedqt.reduction import parse_assignment
 from mixedqt.solver import verify_witness
 
@@ -91,18 +103,59 @@ class TestDecide:
         assert run(["decide", fx("c5.graph"), flag, "1"]) == 2
 
     @pytest.mark.parametrize("text,answer,method", [
-        ("p graph 5 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 0\n", "NO", "deg3"),
+        ("p graph 5 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 0\n", "NO", "girth4"),
         (serialize_graph(complete_graph(5)), "YES", "exact"),
         ("p graph 5 4\ne 0 1\ne 0 2\ne 0 3\ne 0 4\n", "YES", "girth4"),
         ("p graph 7 7\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 0\ne 0 5\ne 0 6\n",
          "NO", "girth4"),
-    ], ids=["c5", "k5", "star4", "c5-pendants"])
+        ("p graph 7 6\ne 0 1\ne 0 2\ne 0 3\ne 1 4\ne 1 5\ne 2 6\n", "YES", "girth4"),
+        (serialize_graph(net_graph()), "NO", "deg3"),
+        (serialize_graph(prism_graph()), "NO", "deg3"),
+    ], ids=["c5", "k5", "star4", "c5-pendants", "tree-deg3", "net", "prism"])
     def test_json_output(self, tmp_path, capsys, text, answer, method):
         path = tmp_path / "g.graph"
         path.write_text(text)
         assert run(["decide", str(path), "--json"]) == (0 if answer == "YES" else 1)
         payload = json.loads(capsys.readouterr().out)
         assert (payload["answer"], payload["method"]) == (answer, method)
+
+    def test_triangle_free_deg3_witnesses_match(self, tmp_path):
+        # auto sends every triangle-free graph to the 2-colouring; at maximum
+        # degree three the degree-3 decider answers too, and the two must
+        # write the same witness byte for byte
+        rng = random.Random(12)
+        corpus = [cycle_graph(k) for k in range(4, 10)]
+        for _ in range(12):
+            n = rng.randint(1, 40)
+            degree = [0] * n
+            tree = set()
+            for v in range(1, n):
+                u = rng.choice([u for u in range(v) if degree[u] < 3])
+                tree.add((u, v))
+                degree[u] += 1
+                degree[v] += 1
+            corpus.append(Graph(n, frozenset(tree)))
+        while len(corpus) < 36:
+            g = random_connected_graph(rng.randint(4, 24), 3, rng)
+            if not has_triangle(g):
+                corpus.append(g)
+        gfile = tmp_path / "g.graph"
+        answers = set()
+        for g in corpus:
+            gfile.write_text(serialize_graph(g))
+            texts = []
+            for method in ("auto", "deg3"):
+                wfile = tmp_path / f"{method}.mixed"
+                wfile.unlink(missing_ok=True)
+                code = run(["decide", str(gfile), "--method", method,
+                            "--witness", str(wfile)])
+                assert code == (0 if wfile.exists() else 1)
+                texts.append((code, wfile.read_text() if code == 0 else None))
+                if code == 0:
+                    assert run(["verify", str(gfile), str(wfile)]) == 0
+            assert texts[0] == texts[1], sorted(g.edges)
+            answers.add(texts[0][0])
+        assert answers == {0, 1}
 
     def test_missing_file(self):
         assert run(["decide", fx("nope.graph")]) == 2

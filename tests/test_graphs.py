@@ -63,6 +63,44 @@ class TestTypes:
         with pytest.raises(ValueError):
             MixedGraph(2, arcs=frozenset({(1, 1)}))
 
+    def test_normalised_frozenset_kept_as_is(self):
+        edges = frozenset({(0, 1), (1, 2)})
+        assert Graph(3, edges).edges is edges
+        assert MixedGraph(3, edges=edges).edges is edges
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Graph(3, frozenset({(0, 3)})), "edge (0,3) out of range for n=3"),
+        (lambda: Graph(3, frozenset({(-1, 1)})), "edge (-1,1) out of range for n=3"),
+        (lambda: Graph(3, frozenset({(1, 1)})), "loop at vertex 1"),
+        (lambda: Graph(3, [(2, 2)]), "loop at vertex 2"),
+        (lambda: Graph(-1), "negative vertex count"),
+        (lambda: Graph(3, frozenset({(0, 1, 2)})), "too many values to unpack (expected 2)"),
+        (lambda: MixedGraph(2, edges=frozenset({(0, 2)})), "edge (0,2) out of range for n=2"),
+        (lambda: MixedGraph(3, edges=frozenset({(1, 1)})), "loop at vertex 1"),
+        (lambda: MixedGraph(-2), "negative vertex count"),
+    ], ids=["above-n", "negative-end", "loop", "loop-in-list", "negative-n", "triple",
+            "mixed-above-n", "mixed-loop", "mixed-negative-n"])
+    def test_constructor_rejections(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_mistyped_endpoint_rejected(self):
+        with pytest.raises(TypeError, match="'<' not supported"):
+            Graph(3, frozenset({(None, 1)}))
+
+    @pytest.mark.parametrize("edges", [
+        {(2, 0), (1, 0)},
+        [(2, 0), (1, 0), (0, 2)],
+        frozenset({(2, 0), (0, 1)}),
+        frozenset({frozenset({0, 2}), (0, 1)}),
+    ], ids=["set", "list", "reversed-in-frozenset", "frozenset-pair"])
+    def test_unnormalised_edges_rebuilt(self, edges):
+        g = Graph(3, edges)
+        assert g.edges == frozenset({(0, 1), (0, 2)})
+        assert all(type(e) is tuple for e in g.edges)
+        assert MixedGraph(3, edges=edges).edges == g.edges
+
 
 class TestUnderlying:
     def test_arc_and_edge(self):
