@@ -2,7 +2,7 @@
 """Probe of the exact solver on squares of random oriented graphs.
 
 Decides ``undirected_square(random_oriented(n, d, rng))`` for eight seeds in
-each of eight (n, d) cells, 64 squares with n from 40 to 200, each under a
+each of ten (n, d) cells, 80 squares with n from 40 to 500, each under a
 cap of 20,000 search nodes.  Every square is YES by construction, so the
 exit status is 1 when any of them is answered NO, stops at the cap, or gets
 a witness that ``verify_witness`` rejects.
@@ -18,7 +18,7 @@ from mixedqt.graphs import undirected_square
 from mixedqt.solver import BudgetExceeded, SolveOptions, decide_qt, verify_witness
 
 CELLS = ((40, 2.0), (60, 2.0), (80, 1.5), (80, 2.0), (100, 1.5), (100, 2.0),
-         (150, 1.5), (200, 1.5))
+         (150, 1.5), (200, 1.5), (300, 2.0), (500, 2.0))
 SEEDS = 8
 NODE_LIMIT = 20000
 

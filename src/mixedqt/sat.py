@@ -10,6 +10,9 @@ whose stale entries are skipped when popped, and the rest go in index
 order.  Restarts follow the Luby sequence.  Assumptions are decided first,
 one level each, as in MiniSat (Eén & Sörensson, SAT 2003); a learnt clause
 follows from the clauses alone, so it holds under any later assumptions.
+When an assumption is found false, the reasons on the trail lead back to
+the assumptions that force it (MiniSat's final conflict), and clauses may
+be added between solves.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ class Solver:
     or 1; learnt clauses are watched, whatever their length.  A reason is
     None for a decision or a unit, the true literal that implied the
     variable by a binary clause, or the clause that implied it, which holds
-    the implied literal at index 0.
+    the implied literal at index 0.  After a solve answers None, ``core``
+    holds assumptions that the clauses refute together: empty when the
+    clauses alone are unsatisfiable.
     """
 
     def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]]):
@@ -50,6 +55,7 @@ class Solver:
         self.head = 0                 # trail index of the next literal to propagate
         self.bump = 1.0
         self.ok = True
+        self.core: list[int] = []
         # tuples take less memory than lists, and few literals imply many
         self.bins: list[tuple[int, ...]] = [()] * (2 * num_vars)
         for c in clauses:
@@ -96,6 +102,7 @@ class Solver:
             if depth < len(assumptions):
                 lit = assumptions[depth]
                 if self.value[lit] < 0:
+                    self.core = self._final(lit)
                     return None
                 self.limits.append(len(self.trail))
                 if not self.value[lit]:
@@ -107,7 +114,45 @@ class Solver:
             spend()
             self.limits.append(len(self.trail))
             self._assign(2 * v | self.phase[v], None)
+        self.core = []
         return None
+
+    def add_clause(self, clause: Sequence[int]) -> None:
+        """Add a clause of distinct literals between solves.  A clause true
+        at level 0 is skipped and its literals false there are dropped; a
+        clause left empty makes the CNF unsatisfiable."""
+        self._backtrack(0)
+        value = self.value
+        if any(value[lit] > 0 for lit in clause):
+            return
+        c = [lit for lit in clause if not value[lit]]
+        if len(c) > 2:
+            self.watches[c[0]].append(c)
+            self.watches[c[1]].append(c)
+        elif len(c) == 2:
+            self.bins[c[0] ^ 1] += (c[1],)
+            self.bins[c[1] ^ 1] += (c[0],)
+        elif c:
+            self._assign(c[0], None)
+        else:
+            self.ok = False
+
+    def _final(self, lit: int) -> list[int]:
+        """The false assumption ``lit`` and the assumptions whose levels
+        force it false, found by following reasons back along the trail."""
+        level, reason = self.level, self.reason
+        core, seen = [lit], {lit >> 1}
+        if not level[lit >> 1]:
+            return core
+        for p in reversed(self.trail):
+            if p >> 1 in seen:
+                r = reason[p >> 1]
+                if r is None:   # only assumptions are decided above level 0
+                    core.append(p)
+                else:
+                    seen.update(q >> 1 for q in ((r,) if type(r) is int else r)
+                                if level[q >> 1])
+        return core
 
     def _propagate(self) -> list[int] | None:
         """Unit propagation to a fixpoint: a clause with every literal false, or None."""

@@ -42,13 +42,15 @@ vertices: they join S, and the components of the region - S, each with its
 neighbours in S, take its place on the worklist.  A region with no cut
 vertex is final.  Adjacent vertices of S alternate, so each connected piece
 of the graph S induces is a polarity class decided by one bit, and an odd
-cycle there is a NO before any search.  The class bits are searched; each
-final region is a constraint over the classes it touches, decided lazily
-and memoised per region shape (the region relabelled in vertex order).
-Each shape is encoded once per call, and each pattern of its class bits is
-solved as assumptions on its pin variables, so what the solver learns under
-one pattern serves the next.  A final region that touches no class is
-solved directly.
+cycle there is a NO before any search.  Each final region is a constraint
+over the classes it touches, decided lazily and memoised per region shape
+(the region relabelled in vertex order).  Each shape is encoded once per
+call, and each pattern of its class bits is solved as assumptions on its
+pin variables, so what the solver learns under one pattern serves the next.
+The class bits are the model of a second CNF, one variable per class: each
+region that fails under a model adds a clause against the bits of the
+classes in its final conflict (lazy clause generation), until every region
+holds or that CNF has no model.
 """
 
 from __future__ import annotations
@@ -327,9 +329,9 @@ class SolveOptions:
 
     ``node_limit`` bounds the number of search nodes before raising
     :class:`BudgetExceeded`; None means unbounded, negative values are
-    rejected.  A node is one bit tried in the search over polarity classes,
-    one region solve that is not answered from the memo, or one decision or
-    one conflict of the clause-learning solver inside such a solve.  A NO
+    rejected.  A node is one region solve that is not answered from the
+    memo, or one decision or one conflict of either clause-learning solver:
+    the one over the class bits or the one inside a region solve.  A NO
     that needs no search (an odd cycle of edges between vertices on
     triangle-free edges) is returned whatever the limit.
     """
@@ -455,7 +457,8 @@ class _ComponentSolver:
 
     def solve(self, shape: _Shape, bits: dict[int, int]):
         """Kept edges and arcs orienting a region's shape, in its local
-        labels, or None, given the bits of the classes it touches."""
+        labels, under the bits of the classes it touches, and None; or None
+        and the indices into the shape's pins of its final conflict."""
         order, edges, pins = shape
         forced = tuple(p == bits[c] for _i, c, p in pins)   # True: a source
         key = (edges, tuple(i for i, _c, _p in pins))
@@ -465,76 +468,39 @@ class _ComponentSolver:
         if key not in self.engines:
             self.engines[key] = _encode(len(order), *key)
         elist, sat, pin_lits = self.engines[key]
-        model = sat.solve([x if f else x ^ 1 for x, f in zip(pin_lits, forced)],
-                          self.budget.spend)
-        result = None if model is None else _decode(elist, model)
+        assumed = [x if f else x ^ 1 for x, f in zip(pin_lits, forced)]
+        model = sat.solve(assumed, self.budget.spend)
+        result = ((_decode(elist, model), None) if model is not None else
+                  (None, [j for j, x in enumerate(assumed) if x in sat.core]))
         self.memo[key, forced] = result
         return result
 
 
-def _search_classes(solver: _ComponentSolver,
-                    constraints: list[tuple[_Shape, tuple[int, ...]]]
+def _search_classes(solver: _ComponentSolver, constraints: list[_Shape]
                     ) -> dict[int, int] | None:
     """Bits for the classes the constraints touch under which every
     constraint's region is orientable, or None when there are none.
 
-    A constraint is a region's shape with the classes of its fixed
-    vertices; its table is decided lazily by :meth:`_ComponentSolver.solve`,
-    whose memo keeps every entry.  A class in no constraint is left out and
-    reads as 0.  Classes that share no constraint, directly or through other
-    classes, are searched one group after another.  Within a group the
-    search runs on an explicit stack of frames, each holding a class and the
-    next bit to try.
-    It branches on the free class that completes the most constraints, then
-    on the one in the most constraints, and checks each constraint as soon
-    as its last class is set.  One node is spent per bit tried.
+    A constraint is a region's shape, decided by the memoised
+    :meth:`_ComponentSolver.solve`.  A class in no constraint reads as 0.
+    The bits are a model of a CNF with one variable per class, at first
+    with no clause, so the first model is all zeros.  Each region that fails
+    under a model adds a clause against the bits of the classes in its final
+    conflict (the empty clause when it touches no class), and the CNF is
+    solved again.
     """
-    watch: dict[int, list[int]] = {}
-    for k, (_region, scope) in enumerate(constraints):
-        for c in scope:
-            watch.setdefault(c, []).append(k)
-    unset = [len(scope) for _region, scope in constraints]
-    bits: dict[int, int] = {}
-
-    def consistent(c: int) -> bool:
-        for k in watch[c]:
-            if not unset[k] and solver.solve(constraints[k][0], bits) is None:
-                return False
-        return True
-
-    def urgency(c: int) -> tuple[int, int, int]:
-        return sum(unset[k] == 1 for k in watch[c]), len(watch[c]), -c
-
-    linked = {c: {x for k in ks for x in constraints[k][1]} for c, ks in watch.items()}
-    for group in _components_of(watch, linked):
-        stack: list[list[int]] = []
-        while True:
-            free = [c for c in group if c not in bits]
-            if not free:
-                break
-            stack.append([max(free, key=urgency), 0])
-            # move the top frame on to its next bit that keeps every
-            # complete constraint orientable
-            while stack:
-                frame = stack[-1]
-                c, b = frame
-                if c in bits:
-                    del bits[c]
-                    for k in watch[c]:
-                        unset[k] += 1
-                if b == 2:
-                    stack.pop()
-                    continue
-                frame[1] = b + 1
-                solver.budget.spend()
-                bits[c] = b
-                for k in watch[c]:
-                    unset[k] -= 1
-                if consistent(c):
-                    break
-            else:
-                return None
-    return bits
+    classes = {c for _order, _edges, pins in constraints for _i, c, _p in pins}
+    var = {c: v for v, c in enumerate(sorted(classes))}
+    sat = Solver(len(var), ())
+    while (model := sat.solve((), solver.budget.spend)) is not None:
+        bits = {c: int(model[v]) for c, v in var.items()}
+        cores = [{shape[2][j][1] for j in core} for shape in constraints
+                 if (core := solver.solve(shape, bits)[1]) is not None]
+        if not cores:
+            return bits
+        for cs in cores:
+            sat.add_clause([2 * var[c] + bits[c] for c in sorted(cs)])
+    return None
 
 
 def _regions(vertices: Iterable[int], adj: tuple[frozenset[int], ...],
@@ -573,22 +539,11 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation 
         return None  # adjacent fixed vertices alternate, which an odd cycle forbids
     solver = _ComponentSolver(adj0, fixed_graph, parity, _Budget(opts.node_limit))
     class_id = solver.class_id
-    solved = []
-    constraints = []
-    for region in final:
-        shape = solver.shape(region, fixed)
-        scope = tuple(sorted({c for _i, c, _p in shape[2]}))
-        if scope:
-            constraints.append((shape, scope))
-            continue
-        sub = solver.solve(shape, {})
-        if sub is None:
-            return None
-        solved.append((shape[0], sub))
+    constraints = [solver.shape(region, fixed) for region in final]
     bits = _search_classes(solver, constraints)
     if bits is None:
         return None
-    solved += [(shape[0], solver.solve(shape, bits)) for shape, _scope in constraints]
+    solved = [(shape[0], solver.solve(shape, bits)[0]) for shape in constraints]
     del solver   # its region solvers are done with; free them before the witness is built
     kept: set[Edge] = set()
     arcs: set[tuple[int, int]] = set()

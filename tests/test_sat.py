@@ -44,8 +44,10 @@ def pigeonhole(pigeons, holes):
 
 def test_agrees_with_brute_force_under_assumptions(rng):
     # one solver answers several sets of assumptions in turn, so clauses
-    # learnt under one set must stay sound under the next
+    # learnt under one set must stay sound under the next; after a NO, the
+    # final conflict is a set of assumptions the clauses refute
     answers = [0, 0]
+    shrunk = 0   # NO answers whose core leaves some assumption out
     for _ in range(300):
         num_vars = rng.randint(2, 9)
         clauses = random_cnf(rng, num_vars, rng.randint(1, 5 * num_vars))
@@ -58,8 +60,12 @@ def test_agrees_with_brute_force_under_assumptions(rng):
             assert (model is not None) == expected
             if model is not None:
                 assert len(model) == num_vars and satisfies(model, clauses, assumptions)
+            else:
+                assert set(solver.core) <= set(assumptions)
+                assert not brute_force(num_vars, clauses, solver.core)
+                shrunk += len(set(solver.core)) < len(set(assumptions))
             answers[expected] += 1
-    assert min(answers) > 100
+    assert min(answers) > 100 and shrunk > 50
 
 
 def test_pigeonhole_refuted_across_activity_rescaling():
@@ -88,3 +94,36 @@ def test_search_resumes_after_spend_raises():
         solver.solve([], stop_early)
     model = solver.solve([1], lambda: None)
     assert model is not None and not model[0] and satisfies(model, clauses, [1])
+
+
+def test_clauses_added_between_solves(rng):
+    # the unit not-x0 forces x1 at level 0, so assuming not-x1 fails on its
+    # own whatever comes before it; then not-x1 as a clause is empty there
+    solver = Solver(3, [[0, 2]])
+    solver.add_clause([1])
+    assert solver.solve([4, 3], lambda: None) is None and solver.core == [3]
+    solver.add_clause([3])
+    assert solver.solve([], lambda: None) is None and solver.core == []
+    # random clauses of one to four literals, added between solves
+    answers = [0, 0]
+    lengths = set()
+    for _ in range(200):
+        num_vars = rng.randint(2, 8)
+        clauses = random_cnf(rng, num_vars, rng.randint(1, 3 * num_vars))
+        solver = Solver(num_vars, clauses)
+        for _ in range(5):
+            chosen = rng.sample(range(num_vars), rng.randint(1, min(4, num_vars)))
+            clauses.append([2 * v + rng.randint(0, 1) for v in chosen])
+            solver.add_clause(clauses[-1])
+            lengths.add(len(chosen))
+            assumed = rng.sample(range(num_vars), rng.randint(0, num_vars // 2))
+            assumptions = [2 * v + rng.randint(0, 1) for v in assumed]
+            model = solver.solve(assumptions, lambda: None)
+            expected = brute_force(num_vars, clauses, assumptions)
+            assert (model is not None) == expected
+            if model is not None:
+                assert satisfies(model, clauses, assumptions)
+            else:
+                assert not brute_force(num_vars, clauses, solver.core)
+            answers[expected] += 1
+    assert min(answers) > 100 and lengths == {1, 2, 3, 4}

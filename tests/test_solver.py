@@ -348,6 +348,15 @@ class TestDecideQt:
             w = decide_qt(g, SolveOptions(node_limit=20000))
             assert w is not None and verify_witness(g, w.mixed).ok, (n, d, s)
 
+    def test_large_random_squares_get_verified_witnesses(self):
+        # each region that fails under the class bits forbids only the bits
+        # of its final conflict, which keeps these under the limit
+        for s in range(2):
+            rng = random.Random(f"probe/500/2.0/{s}")
+            g = undirected_square(random_oriented(500, 2.0, rng))
+            w = decide_qt(g, SolveOptions(node_limit=20000))
+            assert w is not None and verify_witness(g, w.mixed).ok, s
+
     def test_budget_raises(self):
         with pytest.raises(BudgetExceeded):
             decide_qt(complete_graph(6), SolveOptions(node_limit=1))
@@ -361,8 +370,8 @@ class TestDecideQt:
         assert decide_qt(g, SolveOptions(node_limit=1)) is None
 
     @pytest.mark.parametrize("make, answer, nodes", [
-        (lambda: build_reduction(fixture_formula("fano.cnf"))[0], False, 161),
-        (lambda: build_reduction(COMPLETE_5)[0], False, 77),
+        (lambda: build_reduction(fixture_formula("fano.cnf"))[0], False, 96),
+        (lambda: build_reduction(COMPLETE_5)[0], False, 70),
         (lambda: dipath_square(256), True, 256),
         (lambda: dipath_square(300), True, 300),
         (lambda: dipath_square(402), True, 402),
@@ -370,10 +379,11 @@ class TestDecideQt:
     ], ids=["fano", "complete-3-uniform-v5", "dipath-square-256", "dipath-square-300",
             "dipath-square-402", "triangle-chain-600"])
     def test_node_count_pinned(self, make, answer, nodes):
-        # the two formulas are NAE-unsatisfiable, so their search is
-        # exhaustive; the squares and the chain, whose cut vertices form one
-        # class, stop at their first witness.  Either way the node count is
-        # exactly what the limit has to allow
+        # the two formulas are NAE-unsatisfiable, so the clauses their
+        # gadgets' final conflicts add refute the class bits; the squares
+        # and the chain, whose cut vertices form one class, hold under the
+        # first bits.  Either way the node count is exactly what the limit
+        # has to allow
         g = make()
         assert (decide_qt(g, SolveOptions(node_limit=nodes)) is not None) == answer
         with pytest.raises(BudgetExceeded) as info:
