@@ -72,11 +72,8 @@ from .structure import (
     find_net,
     is_removable,
     orient_deg3,
-    parse_trace,
     reduce_removable,
-    reinsert_removable,
     removable_vertices,
-    serialize_trace,
 )
 from .reduction import (
     Assignment,

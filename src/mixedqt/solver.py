@@ -160,12 +160,19 @@ class PartialOrientation:
     mixed: MixedGraph
 
     def __post_init__(self) -> None:
-        if underlying(self.mixed) != self.base:
+        # MixedGraph forbids digons and pairs carrying both an edge and an
+        # arc, so these pairs are distinct and equal counts make the sets equal
+        base, mixed = self.base, self.mixed
+        pairs = base.edges
+        if (mixed.n != base.n
+                or len(mixed.edges) + len(mixed.arcs) != len(pairs)
+                or not mixed.edges <= pairs
+                or not all(edge(t, h) in pairs for t, h in mixed.arcs)):
             raise ValueError("mixed graph is not a partial orientation of the base graph")
 
 
 class WitnessError(ValueError):
-    """A claimed witness or replay trace fails validation."""
+    """A claimed witness fails validation."""
 
 
 @dataclass(frozen=True)

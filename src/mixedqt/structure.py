@@ -17,20 +17,16 @@ from .graphs import (
     MixedGraph,
     bipartition,
     delete_vertices,
-    edge,
     edge_subgraph,
     find_odd_cycle,
     has_triangle,
     triangle_free_edges,
-    underlying,
     undirected_square,
 )
 from .solver import (
     PartialOrientation,
     SolveOptions,
-    WitnessError,
     decide_qt,
-    is_qt,
 )
 
 
@@ -56,7 +52,7 @@ class RemovalStep:
 
 @dataclass(frozen=True)
 class RemovalTrace:
-    """Everything needed to replay a removable-vertex reduction backwards."""
+    """What a removable-vertex reduction deleted, and what it kept."""
 
     original_n: int
     steps: tuple[RemovalStep, ...]
@@ -111,79 +107,6 @@ def reduce_removable(g: Graph) -> tuple[Graph, RemovalTrace]:
     return reduced, RemovalTrace(g.n, tuple(steps), kept)
 
 
-def reinsert_removable(witness: PartialOrientation, trace: RemovalTrace) -> PartialOrientation:
-    """Extend a witness of the reduced graph back to the original graph.
-
-    For each removed vertex u with neighbours v, w, the edge vw is an arc in
-    any valid witness (v and w have no remaining common neighbour); with a
-    the tail and b the head, u is reinserted with arcs a -> u and u -> b.
-    The only 2-dipath this creates runs a -> u -> b, and its ends stay
-    adjacent through the arc ab.
-    """
-    if witness.base.n != len(trace.kept):
-        raise WitnessError(
-            f"witness has {witness.base.n} vertices but trace kept {len(trace.kept)}")
-    violation = is_qt(witness.mixed)
-    if violation is not None:
-        raise WitnessError(violation.describe())
-    kept = trace.kept
-    edges_o = {edge(kept[u], kept[v]) for u, v in witness.mixed.edges}
-    arcs_o = {(kept[t], kept[h]) for t, h in witness.mixed.arcs}
-    present = set(kept)
-    for step in reversed(trace.steps):
-        u, v, w = step.vertex, step.nbr_low, step.nbr_high
-        if u in present:
-            raise WitnessError(f"trace reinserts vertex {u} twice")
-        if v not in present or w not in present:
-            raise WitnessError(f"trace references absent neighbours of {u}")
-        if (v, w) in arcs_o:
-            a, b = v, w
-        elif (w, v) in arcs_o:
-            a, b = w, v
-        else:
-            raise WitnessError(f"edge {v}-{w} is not an arc; trace inconsistent with witness")
-        arcs_o.add((a, u))
-        arcs_o.add((u, b))
-        present.add(u)
-    mixed = MixedGraph(trace.original_n, frozenset(edges_o), frozenset(arcs_o))
-    violation = is_qt(mixed)
-    if violation is not None:
-        raise WitnessError(f"reinsertion produced an invalid witness: {violation.describe()}")
-    return PartialOrientation(underlying(mixed), mixed)
-
-
-def serialize_trace(trace: RemovalTrace) -> str:
-    lines = [f"r {s.vertex} {s.nbr_low} {s.nbr_high} {s.outer_low} {s.outer_high}"
-             for s in trace.steps]
-    return "".join(line + "\n" for line in lines)
-
-
-def parse_trace(text: str, n: int) -> RemovalTrace:
-    from .formats import GraphFormatError
-
-    steps = []
-    removed = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] != "r" or len(fields) != 6:
-            raise GraphFormatError(f"line {lineno}: expected 'r <u> <v> <w> <v'> <w'>'")
-        try:
-            u, v, w, vo, wo = (int(x) for x in fields[1:])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer field") from None
-        if not all(0 <= x < n for x in (u, v, w, vo, wo)):
-            raise GraphFormatError(f"line {lineno}: vertex out of range for n={n}")
-        if u in removed:
-            raise GraphFormatError(f"line {lineno}: vertex {u} removed twice")
-        removed.add(u)
-        steps.append(RemovalStep(u, v, w, vo, wo))
-    kept = tuple(v for v in range(n) if v not in removed)
-    return RemovalTrace(n, tuple(steps), kept)
-
-
 @dataclass(frozen=True)
 class NetEmbedding:
     """A subgraph copy of the net: a triangle plus one pendant edge per corner."""
@@ -224,12 +147,6 @@ def decide_deg3(g: Graph) -> bool:
     """
     _require_deg3(g)
     reduced, _trace = reduce_removable(g)
-    return _reduced_orientable(reduced)
-
-
-def _reduced_orientable(reduced: Graph) -> bool:
-    """The degree-three test on a graph without removable vertices: no net,
-    and the edges lying in no triangle span a bipartite graph."""
     if find_net(reduced) is not None:
         return False
     tf = triangle_free_edges(reduced)
@@ -240,24 +157,21 @@ def _reduced_orientable(reduced: Graph) -> bool:
 def orient_deg3(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation | None:
     """Construct a witness for a degree-three graph, or None when unorientable.
 
-    The graph is reduced once.  The no answer comes from the test of
-    :func:`decide_deg3` on the reduced graph and stays polynomial; on a yes
-    answer the exact solver orients the reduced graph and the removal trace
-    is replayed backwards.  Triangle-free parts need no search there: every
-    vertex on a triangle-free edge is a source or a sink, so the solver
-    orients those edges from the 2-colouring and searches only the regions
-    around triangles.  The solver failing to find a witness the decider
-    promised would be a bug, not a no answer.
+    The no answer comes from :func:`decide_deg3` and stays polynomial.  On a
+    yes answer the witness is the exact solver's orientation of g itself.
+    Triangle-free parts need no search there: every vertex on a
+    triangle-free edge is a source or a sink, so the solver orients those
+    edges from the 2-colouring and searches only the regions around
+    triangles.  The solver failing to find a witness the decider promised
+    would be a bug, not a no answer.
     """
-    _require_deg3(g)
-    reduced, trace = reduce_removable(g)
-    if not _reduced_orientable(reduced):
+    if not decide_deg3(g):
         return None
-    sol = decide_qt(reduced, opts)
+    sol = decide_qt(g, opts)
     if sol is None:
         raise RuntimeError("internal error: no witness found although the "
                            "degree-three characterisation holds")
-    return reinsert_removable(sol, trace)
+    return sol
 
 
 def decide_girth4(g: Graph) -> PartialOrientation | None:
@@ -267,10 +181,11 @@ def decide_girth4(g: Graph) -> PartialOrientation | None:
     witness orients every edge from one colour class to the other, making
     every vertex a source or a sink.
     """
-    if has_triangle(g):
-        raise ValueError("graph contains a triangle; girth must be at least four")
     parts = bipartition(g)
     if parts is None:
+        # a bipartite graph has no triangle, so only a NO needs the check
+        if has_triangle(g):
+            raise ValueError("graph contains a triangle; girth must be at least four")
         return None
     v1, _v2 = parts
     arcs = frozenset((u, v) if u in v1 else (v, u) for u, v in g.edges)

@@ -186,8 +186,17 @@ class TestSignature:
 
 class TestPartialOrientation:
     def test_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            PartialOrientation(cycle_graph(4), MixedGraph(4))
+        c4 = cycle_graph(4)
+        path = frozenset({(0, 1), (1, 2), (2, 3)})
+        for m in (MixedGraph(4),
+                  MixedGraph(4, c4.edges, frozenset({(0, 2)})),  # an extra arc
+                  MixedGraph(5, c4.edges),  # a vertex-count mismatch
+                  # as many pairs as C4, but the chord 0-2 replaces the edge
+                  # 0-3, once as an edge and once as an arc
+                  MixedGraph(4, path | {(0, 2)}),
+                  MixedGraph(4, path, frozenset({(2, 0)}))):
+            with pytest.raises(ValueError):
+                PartialOrientation(c4, m)
 
     @given(mixed_graphs())
     def test_wraps_own_underlying(self, m):

@@ -16,9 +16,7 @@ from mixedqt.graphs import (
     prism_graph,
 )
 from mixedqt.solver import (
-    PartialOrientation,
     VertexStatus,
-    WitnessError,
     decide_qt,
     enumerate_qt,
     verify_witness,
@@ -26,18 +24,14 @@ from mixedqt.solver import (
 )
 from mixedqt.structure import (
     RemovalStep,
-    RemovalTrace,
     decide_deg3,
     decide_girth4,
     embed_universal,
     find_net,
     is_removable,
     orient_deg3,
-    parse_trace,
     reduce_removable,
-    reinsert_removable,
     removable_vertices,
-    serialize_trace,
 )
 from mixedqt.generate import random_connected_graph
 
@@ -114,71 +108,6 @@ class TestRemovable:
                 assert frozenset(removable_vertices(h)) == expected
 
 
-class TestReinsert:
-    def test_house_round_trip(self):
-        g = house_graph()
-        reduced, trace = reduce_removable(g)
-        w = decide_qt(reduced)
-        full = reinsert_removable(w, trace)
-        assert full.base == g
-        assert verify_witness(g, full.mixed).ok
-        assert len(full.mixed.arcs) + len(full.mixed.edges) == 5
-
-    def test_empty_trace_identity(self):
-        g = cycle_graph(6)
-        w = decide_qt(g)
-        trace = RemovalTrace(6, (), tuple(range(6)))
-        again = reinsert_removable(w, trace)
-        assert again.mixed == w.mixed
-
-    def test_random_round_trips(self, rng):
-        done = 0
-        while done < 30:
-            g = random_connected_graph(rng.randint(5, 9), 3, rng)
-            if not removable_vertices(g):
-                continue
-            reduced, trace = reduce_removable(g)
-            w = decide_qt(reduced)
-            if w is None:
-                assert decide_qt(g) is None
-                continue
-            full = reinsert_removable(w, trace)
-            assert verify_witness(g, full.mixed).ok
-            done += 1
-
-    def test_invalid_witness_rejected(self):
-        g = house_graph()
-        reduced, trace = reduce_removable(g)
-        bogus = PartialOrientation(reduced, MixedGraph(reduced.n, edges=reduced.edges))
-        with pytest.raises(WitnessError):
-            reinsert_removable(bogus, trace)
-
-    def test_size_mismatch_rejected(self):
-        w = decide_qt(cycle_graph(4))
-        trace = RemovalTrace(6, (), (0, 1, 2))
-        with pytest.raises(WitnessError):
-            reinsert_removable(w, trace)
-
-
-class TestTraceFormat:
-    def test_round_trip(self):
-        _, trace = reduce_removable(house_graph())
-        text = serialize_trace(trace)
-        assert text == "r 0 1 2 3 4\n"
-        assert parse_trace(text, 5) == trace
-
-    def test_empty(self):
-        assert parse_trace("", 4) == RemovalTrace(4, (), (0, 1, 2, 3))
-
-    def test_bad_lines(self):
-        from mixedqt.formats import GraphFormatError
-
-        with pytest.raises(GraphFormatError):
-            parse_trace("r 0 1\n", 5)
-        with pytest.raises(GraphFormatError):
-            parse_trace("r 0 1 2 3 9\n", 5)
-
-
 class TestFindNet:
     def test_net_itself(self):
         hit = find_net(net_graph())
@@ -253,6 +182,23 @@ class TestDecideDeg3:
         finally:
             sys.setrecursionlimit(limit)
         assert w is not None and verify_witness(g, w.mixed).ok
+
+    def test_orient_deg3_with_removable_vertices(self, rng):
+        # the witness must cover the removable vertices too, not only the
+        # reduced graph that decide_deg3 tests
+        cases = [house_graph()]
+        while len(cases) < 31:
+            g = random_connected_graph(rng.randint(5, 40), 3, rng)
+            if removable_vertices(g):
+                cases.append(g)
+        yes = 0
+        for g in cases:
+            w = orient_deg3(g)
+            assert (w is not None) == (decide_qt(g) is not None)
+            if w is not None:
+                assert verify_witness(g, w.mixed).ok
+                yes += 1
+        assert yes > 0
 
     def test_orient_deg3_reduces_once(self, monkeypatch):
         import mixedqt.structure as structure_module
