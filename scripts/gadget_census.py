@@ -4,16 +4,18 @@
 Enumerates every quasi-transitive partial orientation of the clause gadget,
 tabulates the source/sink signature of the literal triple, and confirms the
 constant signatures never occur.  The drop-pendants variant omits the pendant
-edge at the middle literal.
+edge at the middle literal.  Exits 1 when a constant signature occurs or the
+achievable set is not exactly the six non-constant triples.
 """
 
 import argparse
+import sys
 import time
 
 from mixedqt.reduction import clause_gadget, gadget_signature_report
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--drop-pendants", action="store_true",
                         help="census the variant without the middle pendant edge")
@@ -38,9 +40,11 @@ def main() -> None:
     ttt, fff = report.constant_counts
     print(f"\nconstant signatures: +++ x {ttt}, --- x {fff} (expected 0, 0)")
     achievable = sorted("".join(s) for s in report.signatures)
-    print("achievable set is exactly the six non-constant triples:"
-          f" {achievable == ['++-', '+-+', '+--', '-++', '-+-', '--+']}")
+    exact = achievable == ['++-', '+-+', '+--', '-++', '-+-', '--+']
+    print(f"achievable set is exactly the six non-constant triples: {exact}")
+    # a constant signature would be in the achievable set too
+    return 0 if exact else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -64,7 +64,6 @@ from .solver import (
 )
 from .structure import (
     NetEmbedding,
-    RemovalStep,
     RemovalTrace,
     decide_deg3,
     decide_girth4,

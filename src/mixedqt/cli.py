@@ -327,9 +327,6 @@ def run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except BudgetExceeded as exc:
-        print(f"BUDGET-EXCEEDED: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (GraphFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

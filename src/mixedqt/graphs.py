@@ -254,9 +254,10 @@ def _two_colour(g: Graph) -> tuple[dict[int, int], dict[int, int | None],
                                     tuple[int, int] | None]:
     """Breadth-first 2-colouring from each component's smallest vertex.
 
-    Returns the colours, the BFS parents and the first edge found with both
-    ends the same colour (None when the graph is bipartite); the search stops
-    at that edge.
+    Returns the colours, the BFS parents in the order the vertices were
+    reached (each root, with parent None, before the rest of its tree) and
+    the first edge found with both ends the same colour (None when the graph
+    is bipartite); the search stops at that edge.
     """
     colour: dict[int, int] = {}
     parent: dict[int, int | None] = {}

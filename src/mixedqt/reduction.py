@@ -11,6 +11,7 @@ vertices with even path positions ties the two together.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .formats import GraphFormatError
@@ -56,19 +57,20 @@ def clause_gadget() -> tuple[Graph, tuple[int, int, int], tuple[int, int, int]]:
     return Graph(9, GADGET_EDGES), GADGET_LITERALS, GADGET_PENDANT_MATES
 
 
-def _gadget_graph(drop_pendants: bool) -> Graph:
-    if drop_pendants:
-        return Graph(9, GADGET_EDGES - {_DROPPABLE_PENDANT})
-    return Graph(9, GADGET_EDGES)
-
-
-def _literal_signature(mixed: MixedGraph) -> Signature | None:
-    """Signature over the literal triple, or None when some literal is
+@functools.cache
+def _gadget_orientations(drop_pendants: bool) -> tuple[tuple[Signature | None, MixedGraph], ...]:
+    """Every orientation of the gadget in :func:`enumerate_qt` order, each
+    with its signature over the literal triple, or None when some literal is
     neither a source nor a sink (possible only without pendants)."""
-    try:
-        return signature(mixed, GADGET_LITERALS)
-    except ValueError:
-        return None
+    edges = GADGET_EDGES - {_DROPPABLE_PENDANT} if drop_pendants else GADGET_EDGES
+    out = []
+    for po in enumerate_qt(Graph(9, edges)):
+        try:
+            sig = signature(po.mixed, GADGET_LITERALS)
+        except ValueError:
+            sig = None
+        out.append((sig, po.mixed))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -88,42 +90,29 @@ def gadget_signature_report(*, drop_pendants: bool = False) -> GadgetSignatureRe
     Covers the full 3^m state space of the 13-edge gadget (the enumeration
     prunes with rules that discard no valid orientation).
     """
+    orientations = _gadget_orientations(drop_pendants)
     counts: dict[Signature, int] = {}
-    unsigned = 0
-    total = 0
-    for po in enumerate_qt(_gadget_graph(drop_pendants)):
-        total += 1
-        sig = _literal_signature(po.mixed)
-        if sig is None:
-            unsigned += 1
-        else:
+    for sig, _mixed in orientations:
+        if sig is not None:
             counts[sig] = counts.get(sig, 0) + 1
     return GadgetSignatureReport(
         signatures=frozenset(counts),
         constant_counts=(counts.get(CONSTANT_SIGNATURES[0], 0),
                          counts.get(CONSTANT_SIGNATURES[1], 0)),
-        orientation_count=total,
+        orientation_count=len(orientations),
         signature_counts=tuple(sorted(counts.items())),
-        unsigned_count=unsigned,
+        unsigned_count=len(orientations) - sum(counts.values()),
     )
-
-
-_template_cache: dict[bool, dict[Signature, MixedGraph]] = {}
 
 
 def gadget_templates(drop_pendants: bool = False) -> dict[Signature, MixedGraph]:
     """One gadget orientation per achievable signature (first in enumeration
     order), used to orient clause gadgets from truth values."""
-    if drop_pendants not in _template_cache:
-        templates: dict[Signature, MixedGraph] = {}
-        for po in enumerate_qt(_gadget_graph(drop_pendants)):
-            sig = _literal_signature(po.mixed)
-            if sig is not None and sig not in templates:
-                templates[sig] = po.mixed
-                if len(templates) == 6:
-                    break
-        _template_cache[drop_pendants] = templates
-    return dict(_template_cache[drop_pendants])
+    templates: dict[Signature, MixedGraph] = {}
+    for sig, mixed in _gadget_orientations(drop_pendants):
+        if sig is not None:
+            templates.setdefault(sig, mixed)
+    return templates
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +377,7 @@ def parse_reduction_map(text: str) -> ReductionMap:
     rebuilt from scratch; any inconsistency with the file is an error.
     """
     drop_pendants = False
-    clause_lines: dict[int, tuple[int, int, int]] = {}
+    clause_lines: dict[int, tuple[int, ...]] = {}
     var_lines: dict[int, tuple[int, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -399,22 +388,17 @@ def parse_reduction_map(text: str) -> ReductionMap:
             if len(fields) == 3 and fields[1] == "drop-pendants":
                 drop_pendants = fields[2] == "1"
             continue
+        if not ((fields[0] == "clause" and len(fields) == 5)
+                or (fields[0] == "var" and len(fields) >= 3)):
+            raise GraphFormatError(f"line {lineno}: unrecognised map line {line!r}")
         try:
-            if fields[0] == "clause" and len(fields) == 5:
-                k, u, v, w = (int(t) for t in fields[1:])
-                if k in clause_lines:
-                    raise GraphFormatError(f"line {lineno}: duplicate clause {k}")
-                clause_lines[k] = (u, v, w)
-                continue
-            if fields[0] == "var" and len(fields) >= 3:
-                x = int(fields[1])
-                if x in var_lines:
-                    raise GraphFormatError(f"line {lineno}: duplicate variable {x}")
-                var_lines[x] = tuple(int(t) for t in fields[2:])
-                continue
+            key, *ids = (int(t) for t in fields[1:])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer field") from None
-        raise GraphFormatError(f"line {lineno}: unrecognised map line {line!r}")
+        table = clause_lines if fields[0] == "clause" else var_lines
+        if key in table:
+            raise GraphFormatError(f"line {lineno}: duplicate {fields[0]} {key}")
+        table[key] = tuple(ids)
     num_vars = len(var_lines)
     if sorted(var_lines) != list(range(1, num_vars + 1)):
         raise GraphFormatError("variable lines must cover 1..n exactly once")

@@ -66,7 +66,6 @@ from .graphs import (
     _articulation_points,
     _components_of,
     _two_colour,
-    connected_components,
     edge,
     triangle_free_edges,
     underlying,
@@ -430,21 +429,19 @@ class _ComponentSolver:
     Each connected piece of the graph the fixed vertices induce is a
     polarity class; a vertex outside them is a class of its own.
     ``class_id`` and ``parity`` give each vertex its class and its colour in
-    the 2-colouring of that graph.  A final region is solved once for each
-    pattern of bits on the classes it touches, and the result is shared by
-    every region of the same shape: the region relabelled in vertex order,
-    its sorted vertices mapped to 0..k-1, with its edges and its fixed
-    vertices under that map.  Each shape is encoded once, and each pattern
-    is solved as assumptions on its pin literals.
+    the 2-colouring of that graph; a class id is the smallest vertex of its
+    piece.  A final region is solved once for each pattern of bits on the
+    classes it touches, and the result is shared by every region of the
+    same shape: the region relabelled in vertex order, its sorted vertices
+    mapped to 0..k-1, with its edges and its fixed vertices under that map.
+    Each shape is encoded once, and each pattern is solved as assumptions on
+    its pin literals.
     """
 
-    def __init__(self, adj: tuple[frozenset[int], ...], fixed_graph: Graph,
+    def __init__(self, adj: tuple[frozenset[int], ...], class_id: dict[int, int],
                  parity: dict[int, int], budget: _Budget):
         self.adj = adj
-        self.class_id = [0] * len(adj)
-        for c, comp in enumerate(connected_components(fixed_graph)):
-            for v in comp:
-                self.class_id[v] = c
+        self.class_id = class_id
         self.parity = parity
         self.budget = budget
         self.memo: dict = {}
@@ -541,11 +538,15 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation 
         else:
             final.append(region)
     fixed_graph = Graph(g.n, frozenset(e for e in g.edges if e[0] in fixed and e[1] in fixed))
-    parity, _parent, clash = _two_colour(fixed_graph)
+    parity, parent, clash = _two_colour(fixed_graph)
     if clash is not None:
         return None  # adjacent fixed vertices alternate, which an odd cycle forbids
-    solver = _ComponentSolver(adj0, fixed_graph, parity, _Budget(opts.node_limit))
-    class_id = solver.class_id
+    # the BFS meets each tree's root, the smallest vertex of its piece, first
+    # and every parent before its children, so one pass names each class
+    class_id: dict[int, int] = {}
+    for v, p in parent.items():
+        class_id[v] = v if p is None else class_id[p]
+    solver = _ComponentSolver(adj0, class_id, parity, _Budget(opts.node_limit))
     constraints = [solver.shape(region, fixed) for region in final]
     bits = _search_classes(solver, constraints)
     if bits is None:

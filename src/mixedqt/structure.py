@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from .graphs import (
     Graph,
     MixedGraph,
-    bipartition,
+    _two_colour,
     delete_vertices,
-    edge_subgraph,
     find_odd_cycle,
     has_triangle,
     triangle_free_edges,
@@ -36,27 +35,14 @@ def _require_deg3(g: Graph) -> None:
 
 
 @dataclass(frozen=True)
-class RemovalStep:
-    """One removed degree-2 vertex with its neighbourhood at removal time.
+class RemovalTrace:
+    """What a removable-vertex reduction deleted.
 
-    ``nbr_low < nbr_high`` are the two adjacent degree-3 neighbours;
-    ``outer_low`` / ``outer_high`` are their respective third neighbours.
+    ``steps`` holds one entry per removed vertex: its id in the input graph,
+    in increasing order.
     """
 
-    vertex: int
-    nbr_low: int
-    nbr_high: int
-    outer_low: int
-    outer_high: int
-
-
-@dataclass(frozen=True)
-class RemovalTrace:
-    """What a removable-vertex reduction deleted, and what it kept."""
-
-    original_n: int
-    steps: tuple[RemovalStep, ...]
-    kept: tuple[int, ...]  # original id of each vertex of the reduced graph
+    steps: tuple[int, ...]
 
 
 def is_removable(g: Graph, u: int) -> bool:
@@ -91,20 +77,15 @@ def reduce_removable(g: Graph) -> tuple[Graph, RemovalTrace]:
     The removable set is computed on the input graph; removing any of its
     members neither creates new removable vertices nor disturbs the others,
     so deletion order is irrelevant.  The result is asserted to contain no
-    removable vertex.
+    removable vertex.  Returns the reduced graph, its survivors re-indexed
+    densely in their original order, and the removed vertices.
     """
     _require_deg3(g)
     doomed = removable_vertices(g)
-    steps = []
-    for u in doomed:
-        v, w = sorted(g.adj[u])
-        (vo,) = g.adj[v] - {u, w}
-        (wo,) = g.adj[w] - {u, v}
-        steps.append(RemovalStep(u, v, w, vo, wo))
-    reduced, kept = delete_vertices(g, doomed)
+    reduced, _kept = delete_vertices(g, doomed)
     if removable_vertices(reduced):
         raise RuntimeError("reduction left removable vertices; this should be impossible")
-    return reduced, RemovalTrace(g.n, tuple(steps), kept)
+    return reduced, RemovalTrace(doomed)
 
 
 @dataclass(frozen=True)
@@ -143,15 +124,15 @@ def decide_deg3(g: Graph) -> bool:
 
     After deleting removable vertices, the answer is yes exactly when no net
     occurs as a subgraph and the edges lying in no triangle span a bipartite
-    graph.  Runs in polynomial time.
+    graph.  That graph is 2-coloured on all vertices of the reduced graph:
+    the ones on no such edge are isolated, which leaves bipartiteness
+    unchanged.  Runs in polynomial time.
     """
     _require_deg3(g)
     reduced, _trace = reduce_removable(g)
     if find_net(reduced) is not None:
         return False
-    tf = triangle_free_edges(reduced)
-    sub, _ids = edge_subgraph(reduced, tf)
-    return find_odd_cycle(sub) is None
+    return find_odd_cycle(Graph(reduced.n, triangle_free_edges(reduced))) is None
 
 
 def orient_deg3(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation | None:
@@ -178,17 +159,16 @@ def decide_girth4(g: Graph) -> PartialOrientation | None:
     """Decide orientability for triangle-free graphs (girth four or more).
 
     A triangle-free graph is orientable exactly when it has no odd cycle; a
-    witness orients every edge from one colour class to the other, making
-    every vertex a source or a sink.
+    witness orients every edge away from the colour class of each
+    component's smallest vertex, making every vertex a source or a sink.
     """
-    parts = bipartition(g)
-    if parts is None:
+    colour, _parent, clash = _two_colour(g)
+    if clash is not None:
         # a bipartite graph has no triangle, so only a NO needs the check
         if has_triangle(g):
             raise ValueError("graph contains a triangle; girth must be at least four")
         return None
-    v1, _v2 = parts
-    arcs = frozenset((u, v) if u in v1 else (v, u) for u, v in g.edges)
+    arcs = frozenset((u, v) if colour[u] == 0 else (v, u) for u, v in g.edges)
     return PartialOrientation(g, MixedGraph(g.n, frozenset(), arcs))
 
 

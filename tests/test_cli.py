@@ -300,6 +300,67 @@ class TestGadget:
         assert g.n == 9 and len(g.edges) == 13
 
 
+def _check_output(kind, text: str) -> None:
+    """DOT, a graph file, a mixed-graph file, an assignment, or (a set of
+    keys) one JSON object with exactly those keys."""
+    if kind == "dot":
+        assert text.startswith(("graph", "digraph"))
+    elif kind == "graph":
+        parse_graph(text)
+    elif kind == "mixed":
+        parse_mixed(text)
+    elif kind == "assignment":
+        assert parse_assignment(text)
+    else:
+        assert set(json.loads(text)) == kind
+
+
+@pytest.mark.parametrize("argv,files,stdout", [
+    ("decide {fx}/k4.graph --dot {tmp}/w.dot", {"w.dot": "dot"}, None),
+    ("verify {fx}/k4.graph {tmp}/k4.mixed --json", {}, {"ok", "problems"}),
+    ("square {tmp}/k4.mixed --json", {}, {"vertices", "edges", "output"}),
+    ("square {tmp}/k4.mixed --mixed-output -o {tmp}/sq.mixed --dot {tmp}/sq.dot --json",
+     {"sq.mixed": "mixed", "sq.dot": "dot"}, {"vertices", "edges", "arcs", "output"}),
+    ("embed {fx}/c5.graph --dot {tmp}/e.dot --json", {"e.dot": "dot"},
+     {"vertices", "edges", "root_vertices", "output", "root"}),
+    ("embed {fx}/c5.graph", {}, "graph"),
+    ("reduce {fx}/one_clause.cnf --dot {tmp}/r.dot", {"r.dot": "dot"}, "graph"),
+    ("reduce {fx}/one_clause.cnf -o {tmp}/r.graph --map {tmp}/r.map --json",
+     {"r.graph": "graph"}, {"variables", "clauses", "vertices", "edges", "output", "map"}),
+    ("extract {tmp}/oc.map {tmp}/oc.mixed -o {tmp}/a.txt", {"a.txt": "assignment"}, None),
+    ("extract {tmp}/oc.map {tmp}/oc.mixed --json", {}, {"1", "2", "3"}),
+    ("gadget --dot {tmp}/g.dot --json", {"g.dot": "dot"},
+     {"vertices", "edges", "literals", "pendants"}),
+], ids=["decide-dot", "verify-json", "square-json", "square-mixed-files",
+        "embed-dot-json", "embed-stdout", "reduce-dot-stdout", "reduce-json",
+        "extract-file", "extract-json", "gadget-dot-json"])
+def test_command_outputs(tmp_path, capsys, argv, files, stdout):
+    assert run(["decide", fx("k4.graph"), "--witness", str(tmp_path / "k4.mixed")]) == 0
+    assert run(["reduce", fx("one_clause.cnf"), "-o", str(tmp_path / "oc.graph"),
+                "--map", str(tmp_path / "oc.map")]) == 0
+    assert run(["decide", str(tmp_path / "oc.graph"),
+                "--witness", str(tmp_path / "oc.mixed")]) == 0
+    capsys.readouterr()
+    assert run([a.format(fx=FIXTURES, tmp=tmp_path) for a in argv.split()]) == 0
+    out = capsys.readouterr().out
+    for name, kind in files.items():
+        _check_output(kind, (tmp_path / name).read_text())
+    if stdout is not None:
+        _check_output(stdout, out)
+
+
+def test_extract_rejects_malformed_map(tmp_path, capsys):
+    assert run(["reduce", fx("one_clause.cnf"), "-o", str(tmp_path / "oc.graph"),
+                "--map", str(tmp_path / "oc.map")]) == 0
+    assert run(["decide", str(tmp_path / "oc.graph"),
+                "--witness", str(tmp_path / "oc.mixed")]) == 0
+    text = (tmp_path / "oc.map").read_text()
+    (tmp_path / "oc.map").write_text(text + text.splitlines()[1] + "\n")  # clause 1 again
+    capsys.readouterr()
+    assert run(["extract", str(tmp_path / "oc.map"), str(tmp_path / "oc.mixed")]) == 2
+    assert "duplicate clause" in capsys.readouterr().err
+
+
 class TestUsage:
     def test_no_command(self):
         assert run([]) == 2

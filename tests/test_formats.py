@@ -82,6 +82,17 @@ def test_pair_with_edge_and_arc_rejected():
         parse_mixed("p mixed 2 1 1\ne 0 1\na 0 1\n")
 
 
+@pytest.mark.parametrize("text", [
+    "p mixed 2 1\ne 0 1\n",
+    "p mixed 2 0 1\nx 0 1\n",
+    "p mixed 2 0 1\na 0 z\n",
+    "p mixed 2 0 2\na 0 1\na 0 1\n",
+], ids=["header-arity", "unknown-record", "non-integer-endpoint", "duplicate-arc"])
+def test_malformed_mixed_rejected(text):
+    with pytest.raises(GraphFormatError):
+        parse_mixed(text)
+
+
 def test_garbage_line_rejected():
     with pytest.raises(GraphFormatError):
         parse_graph("p graph 2 1\nx 0 1\n")

@@ -157,6 +157,20 @@ class TestDimacs:
         with pytest.raises(GraphFormatError):
             parse_dimacs("p cnf 4 1\n1 2 3 4 0\n")
 
+    @pytest.mark.parametrize("text", [
+        "p cnf 3\n1 2 3 0\n",
+        "p dnf 3 1\n1 2 3 0\n",
+        "p cnf 3 x\n1 2 3 0\n",
+        "p cnf 3 1\np cnf 3 1\n1 2 3 0\n",
+        "c no header\n",
+        "1 2 3 0\np cnf 3 1\n",
+        "p cnf 3 1\n1 2 a 0\n",
+    ], ids=["header-arity", "header-kind", "header-field", "second-header",
+            "missing-header", "clause-before-header", "non-integer-literal"])
+    def test_malformed_rejected(self, text):
+        with pytest.raises(GraphFormatError):
+            parse_dimacs(text)
+
 
 class TestBuildReduction:
     def test_one_clause_sizes(self):
@@ -284,6 +298,34 @@ class TestMapAndAssignmentFiles:
         text = serialize_reduction_map(rm).replace("clause 1 2", "clause 1 3")
         with pytest.raises(GraphFormatError):
             parse_reduction_map(text)
+
+    @pytest.mark.parametrize("old,new,reason", [
+        ("clause 1 2 6 10", "clause 1 2 6 10\nclause 1 2 6 10", "duplicate clause 1"),
+        ("var 2 4 5 6 7", "var 2 4 5 6 7\nvar 2 4 5 6 7", "duplicate var 2"),
+        ("clause 1 2 6 10", "clause 1 2 6 x", "non-integer"),
+        ("var 3 8 9 10 11", "var 3 8 9 ten 11", "non-integer"),
+        ("var 3 8 9 10 11", "vertex 3 8 9 10 11", "unrecognised"),
+        ("clause 1 2 6 10", "clause 2 2 6 10", "clause lines must cover"),
+        ("var 3 8 9 10 11", "var 4 8 9 10 11", "variable lines must cover"),
+        ("var 1 0 1 2 3", "var 1 0 1 2", "has 3 vertices"),
+        ("var 1 0 1 2 3", "var 1 0 1 2 13", "inconsistent with the reconstruction"),
+    ], ids=["duplicate-clause", "duplicate-variable", "non-integer-clause",
+            "non-integer-path", "unrecognised-line", "clause-gap", "variable-gap",
+            "path-length", "ids-disagree-with-rebuild"])
+    def test_malformed_map_rejected(self, old, new, reason):
+        _, rm = build_reduction(CnfInstance(3, ((1, 2, 3),)))
+        text = serialize_reduction_map(rm)
+        assert old in text
+        with pytest.raises(GraphFormatError, match=reason):
+            parse_reduction_map(text.replace(old, new))
+
+    @pytest.mark.parametrize("text", [
+        "v 1 2\n", "x 1 1\n", "v 1\n", "v a 1\n", "v 1 1\nv 1 0\n",
+    ], ids=["bad-value", "bad-record", "short-line", "non-integer-variable",
+            "duplicate"])
+    def test_malformed_assignment_rejected(self, text):
+        with pytest.raises(GraphFormatError):
+            parse_assignment(text)
 
     def test_assignment_round_trip(self):
         f = {1: True, 2: False, 3: True}
