@@ -20,7 +20,6 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 
 from .formats import (
     GraphFormatError,
@@ -58,13 +57,15 @@ EXIT_BUDGET = 3
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as fh:
+            return fh.read()
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from None
 
 
 def _write(path: str, text: str) -> None:
-    Path(path).write_text(text)
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 @functools.cache

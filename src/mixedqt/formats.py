@@ -14,57 +14,73 @@ identity on canonical files.
 
 from __future__ import annotations
 
-from .graphs import Graph, MixedGraph, edge
+from typing import Iterator
+
+from .graphs import Graph, MixedGraph
 
 
 class GraphFormatError(ValueError):
     """Raised when a graph, witness, or map file cannot be parsed."""
 
 
-def _significant_lines(text: str) -> list[list[str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+def _read_header(lines: Iterator[tuple[int, str]], kind: str, empty: str) -> list[int]:
+    """The counts on the first line that is neither blank nor a comment,
+    which must read ``p <kind> ...``; ``lines`` is left at the line after."""
+    for lineno, raw in lines:
+        fields = raw.split()
+        if not fields or fields[0][0] == "c":
             continue
-        out.append([str(lineno)] + line.split())
-    return out
+        if len(fields) < 2 or fields[0] != "p" or fields[1] != kind:
+            raise GraphFormatError(f"line {lineno}: expected 'p {kind}' header")
+        try:
+            return [int(x) for x in fields[2:]]
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: non-integer header field") from None
+    raise GraphFormatError(empty)
 
 
-def _parse_header(fields: list[str], kind: str) -> list[int]:
-    lineno = fields[0]
-    if len(fields) < 3 or fields[1] != "p" or fields[2] != kind:
-        raise GraphFormatError(f"line {lineno}: expected 'p {kind}' header")
-    try:
-        return [int(x) for x in fields[3:]]
-    except ValueError:
-        raise GraphFormatError(f"line {lineno}: non-integer header field") from None
+# Body records by kind: how the expected line reads, and the record's name.
+_RECORDS = {"e": ("'e <u> <v>'", "edge"), "a": ("'a <tail> <head>'", "arc")}
+
+
+def _read_body(lines: Iterator[tuple[int, str]], kinds: str) -> dict[str, set[tuple[int, int]]]:
+    """The body's records, one set per kind letter in ``kinds``, skipping
+    blank and comment lines.  Edges are normalised (sorted pairs); arcs keep
+    their direction.  A record already in its set is a duplicate."""
+    found: dict[str, set[tuple[int, int]]] = {k: set() for k in kinds}
+    for lineno, raw in lines:
+        fields = raw.split()
+        if len(fields) != 3 or fields[0] not in found:
+            if not fields or fields[0][0] == "c":
+                continue
+            expected = " or ".join(_RECORDS[k][0] for k in kinds)
+            raise GraphFormatError(f"line {lineno}: expected {expected}")
+        kind = fields[0]
+        try:
+            u, v = int(fields[1]), int(fields[2])
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
+        if kind == "a" or u < v:
+            pair = (u, v)
+        elif v < u:
+            pair = (v, u)
+        else:
+            raise GraphFormatError(f"line {lineno}: loop at vertex {u}")
+        records = found[kind]
+        size = len(records)
+        records.add(pair)
+        if len(records) == size:
+            raise GraphFormatError(f"line {lineno}: duplicate {_RECORDS[kind][1]} {u} {v}")
+    return found
 
 
 def parse_graph(text: str) -> Graph:
-    lines = _significant_lines(text)
-    if not lines:
-        raise GraphFormatError("empty graph file")
-    counts = _parse_header(lines[0], "graph")
+    lines = enumerate(text.splitlines(), start=1)
+    counts = _read_header(lines, "graph", "empty graph file")
     if len(counts) != 2:
         raise GraphFormatError("graph header needs exactly <n> <m>")
     n, m = counts
-    edges: set[tuple[int, int]] = set()
-    for fields in lines[1:]:
-        lineno = fields[0]
-        if fields[1] != "e" or len(fields) != 4:
-            raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
-        try:
-            u, v = int(fields[2]), int(fields[3])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
-        try:
-            e = edge(u, v)
-        except ValueError as exc:
-            raise GraphFormatError(f"line {lineno}: {exc}") from None
-        if e in edges:
-            raise GraphFormatError(f"line {lineno}: duplicate edge {u} {v}")
-        edges.add(e)
+    edges = _read_body(lines, "e")["e"]
     if len(edges) != m:
         raise GraphFormatError(f"header declares {m} edges, body has {len(edges)}")
     try:
@@ -74,35 +90,13 @@ def parse_graph(text: str) -> Graph:
 
 
 def parse_mixed(text: str) -> MixedGraph:
-    lines = _significant_lines(text)
-    if not lines:
-        raise GraphFormatError("empty mixed-graph file")
-    counts = _parse_header(lines[0], "mixed")
+    lines = enumerate(text.splitlines(), start=1)
+    counts = _read_header(lines, "mixed", "empty mixed-graph file")
     if len(counts) != 3:
         raise GraphFormatError("mixed header needs exactly <n> <m_edges> <m_arcs>")
     n, me, ma = counts
-    edges: set[tuple[int, int]] = set()
-    arcs: set[tuple[int, int]] = set()
-    for fields in lines[1:]:
-        lineno = fields[0]
-        if len(fields) != 4 or fields[1] not in ("e", "a"):
-            raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>' or 'a <tail> <head>'")
-        try:
-            u, v = int(fields[2]), int(fields[3])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
-        if fields[1] == "e":
-            try:
-                e = edge(u, v)
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: {exc}") from None
-            if e in edges:
-                raise GraphFormatError(f"line {lineno}: duplicate edge {u} {v}")
-            edges.add(e)
-        else:
-            if (u, v) in arcs:
-                raise GraphFormatError(f"line {lineno}: duplicate arc {u} {v}")
-            arcs.add((u, v))
+    body = _read_body(lines, "ea")
+    edges, arcs = body["e"], body["a"]
     if len(edges) != me or len(arcs) != ma:
         raise GraphFormatError(
             f"header declares {me} edges / {ma} arcs, body has {len(edges)} / {len(arcs)}")

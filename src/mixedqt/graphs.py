@@ -9,9 +9,10 @@ between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 Edge = tuple[int, int]
@@ -94,22 +95,37 @@ class MixedGraph:
     n: int
     edges: frozenset[Edge] = frozenset()
     arcs: frozenset[Arc] = frozenset()
+    # The arcs as unordered pairs, normalised like edges; set by __post_init__.
+    arc_pairs: frozenset[Edge] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("negative vertex count")
         norm = _checked_edges(self.edges, self.n)
+        arcs = frozenset(self.arcs)
         object.__setattr__(self, "edges", norm)
-        object.__setattr__(self, "arcs", frozenset(self.arcs))
-        for t, h in self.arcs:
-            if t == h:
-                raise ValueError(f"loop arc at vertex {t}")
-            if not (0 <= min(t, h) and max(t, h) < self.n):
-                raise ValueError(f"arc ({t},{h}) out of range for n={self.n}")
-            if (h, t) in self.arcs:
-                raise ValueError(f"digon between {t} and {h}")
-            if edge(t, h) in norm:
-                raise ValueError(f"pair {{{t},{h}}} carries both an edge and an arc")
+        object.__setattr__(self, "arcs", arcs)
+        # Set-level checks: the arcs' loop-free normalised pairs are as many
+        # as the arcs (no loop, no digon), miss the edges and lie in range.
+        # Only when one fails are the arcs walked, to name the offending arc.
+        try:
+            pairs = frozenset({(t, h) if t < h else (h, t) for t, h in arcs if t != h})
+            valid = (len(pairs) == len(arcs) and pairs.isdisjoint(norm)
+                     and min(map(itemgetter(0), pairs), default=0) >= 0
+                     and max(map(itemgetter(1), pairs), default=-1) < self.n)
+        except (TypeError, ValueError):
+            valid = False  # malformed arcs: the walk below raises the usual error
+        if not valid:
+            for t, h in arcs:
+                if t == h:
+                    raise ValueError(f"loop arc at vertex {t}")
+                if not (0 <= min(t, h) and max(t, h) < self.n):
+                    raise ValueError(f"arc ({t},{h}) out of range for n={self.n}")
+                if (h, t) in arcs:
+                    raise ValueError(f"digon between {t} and {h}")
+                if edge(t, h) in norm:
+                    raise ValueError(f"pair {{{t},{h}}} carries both an edge and an arc")
+        object.__setattr__(self, "arc_pairs", pairs)
 
     @cached_property
     def out_adj(self) -> tuple[frozenset[int], ...]:
@@ -168,7 +184,7 @@ def prism_graph() -> Graph:
 
 def underlying(m: MixedGraph) -> Graph:
     """Forget all directions: every arc becomes an edge."""
-    return Graph(m.n, m.edges | frozenset(edge(t, h) for t, h in m.arcs))
+    return Graph(m.n, m.edges | m.arc_pairs)
 
 
 def mixed_square(m: MixedGraph) -> MixedGraph:
@@ -257,8 +273,11 @@ def _two_colour(g: Graph) -> tuple[dict[int, int], dict[int, int | None],
     Returns the colours, the BFS parents in the order the vertices were
     reached (each root, with parent None, before the rest of its tree) and
     the first edge found with both ends the same colour (None when the graph
-    is bipartite); the search stops at that edge.
+    is bipartite); the search stops at that edge.  Neighbours are met in set
+    order: on a bipartite graph no colour depends on it, only which clash,
+    and so which odd cycle, is found on one that is not.
     """
+    adj = g.adj
     colour: dict[int, int] = {}
     parent: dict[int, int | None] = {}
     for root in range(g.n):
@@ -267,16 +286,15 @@ def _two_colour(g: Graph) -> tuple[dict[int, int], dict[int, int | None],
         colour[root] = 0
         parent[root] = None
         queue = [root]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for w in sorted(g.adj[v]):
-                if w not in colour:
-                    colour[w] = colour[v] ^ 1
+        for v in queue:  # the list grows as the search reaches new vertices
+            c = colour[v]
+            for w in adj[v]:
+                cw = colour.get(w)
+                if cw is None:
+                    colour[w] = c ^ 1
                     parent[w] = v
                     queue.append(w)
-                elif colour[w] == colour[v]:
+                elif cw == c:
                     return colour, parent, (v, w)
     return colour, parent, None
 

@@ -374,9 +374,11 @@ def parse_reduction_map(text: str) -> ReductionMap:
     """Rebuild a reduction map from its serialised form.
 
     The instance is reconstructed from the identifications and the map is
-    rebuilt from scratch; any inconsistency with the file is an error.
+    rebuilt from scratch; any inconsistency with the file is an error.  The
+    ``c drop-pendants`` line must occur exactly once, with the flag 0 or 1:
+    no id in the file depends on it, so a rebuild cannot catch a wrong one.
     """
-    drop_pendants = False
+    drop_pendants: bool | None = None
     clause_lines: dict[int, tuple[int, ...]] = {}
     var_lines: dict[int, tuple[int, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -385,7 +387,12 @@ def parse_reduction_map(text: str) -> ReductionMap:
             continue
         fields = line.split()
         if fields[0] == "c":
-            if len(fields) == 3 and fields[1] == "drop-pendants":
+            if len(fields) > 1 and fields[1] == "drop-pendants":
+                if drop_pendants is not None:
+                    raise GraphFormatError(f"line {lineno}: duplicate drop-pendants line")
+                if len(fields) != 3 or fields[2] not in ("0", "1"):
+                    raise GraphFormatError(
+                        f"line {lineno}: expected 'c drop-pendants <0|1>', got {line!r}")
                 drop_pendants = fields[2] == "1"
             continue
         if not ((fields[0] == "clause" and len(fields) == 5)
@@ -399,6 +406,8 @@ def parse_reduction_map(text: str) -> ReductionMap:
         if key in table:
             raise GraphFormatError(f"line {lineno}: duplicate {fields[0]} {key}")
         table[key] = tuple(ids)
+    if drop_pendants is None:
+        raise GraphFormatError("missing 'c drop-pendants <0|1>' line")
     num_vars = len(var_lines)
     if sorted(var_lines) != list(range(1, num_vars + 1)):
         raise GraphFormatError("variable lines must cover 1..n exactly once")

@@ -166,7 +166,7 @@ class PartialOrientation:
         if (mixed.n != base.n
                 or len(mixed.edges) + len(mixed.arcs) != len(pairs)
                 or not mixed.edges <= pairs
-                or not all(edge(t, h) in pairs for t, h in mixed.arcs)):
+                or not mixed.arc_pairs <= pairs):
             raise ValueError("mixed graph is not a partial orientation of the base graph")
 
 

@@ -28,6 +28,21 @@ def fx(name: str) -> str:
     return str(FIXTURES / name)
 
 
+def _grid(rows: int, cols: int, *, wrap: bool = False) -> Graph:
+    """A rows x cols grid; ``wrap`` closes every row into a cycle."""
+    edges = set()
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            if j + 1 < cols:
+                edges.add((v, v + 1))
+            elif wrap:
+                edges.add((i * cols, v))
+            if i + 1 < rows:
+                edges.add((v, v + cols))
+    return Graph(rows * cols, frozenset(edges))
+
+
 class TestDecide:
     @pytest.mark.parametrize("name,code", [
         ("c5.graph", 1), ("k5.graph", 0), ("net.graph", 1),
@@ -157,6 +172,43 @@ class TestDecide:
             answers.add(texts[0][0])
         assert answers == {0, 1}
 
+    def test_girth4_verdict_matches_witness_run(self, tmp_path, capsys):
+        # a decide without --witness answers as the run that writes one does
+        rng = random.Random(16)
+        files = [fx("c5.graph"), fx("c6.graph"), fx("k4.graph")]
+        corpus = []
+        for n in (1, 2, 9, 40):
+            tree = {(rng.randrange(v), v) for v in range(1, n)}
+            corpus.append(Graph(n, frozenset(tree)))
+        for rows, cols in ((1, 4), (3, 3), (4, 6)):
+            corpus.append(_grid(rows, cols))
+        for rows, cols in ((1, 5), (2, 5), (3, 7), (4, 6)):
+            corpus.append(_grid(rows, cols, wrap=True))
+        for i, g in enumerate(corpus):
+            path = tmp_path / f"{i}.graph"
+            path.write_text(serialize_graph(g))
+            files.append(str(path))
+        codes = set()
+        wfile = tmp_path / "w.mixed"
+        for gfile in files:
+            g = parse_graph(Path(gfile).read_text())
+            for method in ("auto", "girth4"):
+                wfile.unlink(missing_ok=True)
+                verdict = run(["decide", gfile, "--method", method])
+                assert run(["decide", gfile, "--method", method,
+                            "--witness", str(wfile)]) == verdict, gfile
+                assert wfile.exists() == (verdict == 0)
+                if verdict == 0:
+                    assert verify_witness(g, parse_mixed(wfile.read_text())).ok
+                codes.add((method, verdict))
+            capsys.readouterr()
+            run(["decide", gfile, "--json"])
+            method = json.loads(capsys.readouterr().out)["method"]
+            assert method == ("deg3" if has_triangle(g) else "girth4"), gfile
+        # YES and NO under both methods, and the triangle guard of girth4
+        assert codes == {("auto", 0), ("auto", 1), ("girth4", 0), ("girth4", 1),
+                         ("girth4", 2)}
+
     def test_missing_file(self):
         assert run(["decide", fx("nope.graph")]) == 2
 
@@ -272,6 +324,25 @@ class TestReducePipeline:
         wfile = tmp_path / "w.mixed"
         wfile.write_text(serialize_mixed(MixedGraph(g.n, edges=g.edges)))
         assert run(["extract", str(mapfile), str(wfile)]) == 2
+
+    @pytest.mark.parametrize("flag_line,message", [
+        ("c drop-pendants yes\n", "expected 'c drop-pendants <0|1>'"),
+        ("", "missing 'c drop-pendants <0|1>' line"),
+    ], ids=["flag-yes", "flag-missing"])
+    def test_extract_rejects_bad_flag_line(self, tmp_path, capsys, flag_line, message):
+        # the dropped-pendant map read as the with-pendants one would fail
+        # only later, on the witness; a bad flag line is a format error
+        gfile, mapfile, wfile = (tmp_path / name for name in ("g.graph", "m.txt", "w.mixed"))
+        assert run(["reduce", fx("one_clause.cnf"), "-o", str(gfile), "--map", str(mapfile),
+                    "--drop-pendants"]) == 0
+        assert run(["decide", str(gfile), "--witness", str(wfile)]) == 0
+        assert run(["extract", str(mapfile), str(wfile)]) == 0
+        text = mapfile.read_text()
+        assert text.startswith("c drop-pendants 1\n")
+        mapfile.write_text(text.replace("c drop-pendants 1\n", flag_line))
+        capsys.readouterr()
+        assert run(["extract", str(mapfile), str(wfile)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_emitted_files_reparse_canonically(self, tmp_path):
         gfile = tmp_path / "g.graph"

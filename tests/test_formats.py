@@ -110,3 +110,61 @@ def test_dot_mixed_distinguishes_edges_from_arcs():
     assert "digraph" in dot
     assert "1 -> 2 [dir=none];" in dot
     assert "0 -> 1;" in dot
+
+
+@pytest.mark.parametrize("text,message", [
+    ("p graph 3 1\ne 1 1\n", "line 2: loop at vertex 1"),
+    ("p graph 3 2\ne 0 1\ne 1 0\n", "line 3: duplicate edge 1 0"),
+    ("p graph 3 1\ne 0 x\n", "line 2: non-integer endpoint"),
+    ("p graph 2 1\nx 0 1\n", "line 2: expected 'e <u> <v>'"),
+    ("p graph 2 1\ne 0 1 1\n", "line 2: expected 'e <u> <v>'"),
+    ("p graph 3 2\ne 0 1\n", "header declares 2 edges, body has 1"),
+    ("p mixed 2 0 1\na 0 1\n", "line 1: expected 'p graph' header"),
+    ("c header on line 3\n\np digraph 2 1\n", "line 3: expected 'p graph' header"),
+    ("p graph 2 1\ne 0 5\n", "edge (0,5) out of range for n=2"),
+    ("p graph\n", "graph header needs exactly <n> <m>"),
+    ("p graph 2 x\n", "line 1: non-integer header field"),
+    ("c only a comment\n  \n", "empty graph file"),
+], ids=["loop", "reversed-duplicate", "non-integer-endpoint", "unknown-record",
+        "long-record", "count-mismatch", "wrong-kind", "late-header", "out-of-range",
+        "header-arity", "non-integer-header", "no-header"])
+def test_graph_error_messages(text, message):
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("p mixed 3 1 0\ne 2 2\n", "line 2: loop at vertex 2"),
+    ("p mixed 3 2 0\ne 0 1\ne 1 0\n", "line 3: duplicate edge 1 0"),
+    ("p mixed 3 0 2\na 0 1\na 0 1\n", "line 3: duplicate arc 0 1"),
+    ("p mixed 3 0 1\na 0 z\n", "line 2: non-integer endpoint"),
+    ("p mixed 2 0 1\nx 0 1\n", "line 2: expected 'e <u> <v>' or 'a <tail> <head>'"),
+    ("p mixed 3 0 2\na 0 1\n", "header declares 0 edges / 2 arcs, body has 0 / 1"),
+    ("p graph 2 1\ne 0 1\n", "line 1: expected 'p mixed' header"),
+    ("p mixed 2 0 1\na 0 5\n", "arc (0,5) out of range for n=2"),
+    ("p mixed 2 1 0\ne 5 0\n", "edge (0,5) out of range for n=2"),
+    ("p mixed 2 0 1\na 1 1\n", "loop arc at vertex 1"),
+    ("p mixed 2 1\ne 0 1\n", "mixed header needs exactly <n> <m_edges> <m_arcs>"),
+    ("", "empty mixed-graph file"),
+], ids=["loop", "reversed-duplicate", "duplicate-arc", "non-integer-endpoint",
+        "unknown-record", "count-mismatch", "wrong-kind", "arc-out-of-range",
+        "edge-out-of-range", "loop-arc", "header-arity", "empty"])
+def test_mixed_error_messages(text, message):
+    with pytest.raises(GraphFormatError) as info:
+        parse_mixed(text)
+    assert str(info.value) == message
+
+
+def test_comments_between_and_indented_are_skipped():
+    text = "p graph 4 2\ne 0 1\nc between the edges\n   c indented comment\n\ne 2 3\n"
+    assert parse_graph(text) == Graph(4, frozenset({(0, 1), (2, 3)}))
+    mixed = "p mixed 4 1 1\ne 0 1\n\tc indented\nc between\na 3 2\n"
+    assert parse_mixed(mixed) == MixedGraph(4, frozenset({(0, 1)}), frozenset({(3, 2)}))
+
+
+def test_line_numbers_count_skipped_lines():
+    # blank lines and comments still advance the line number in messages
+    text = "c one\n\np graph 3 2\nc four\ne 0 1\n\ne 1 0\n"
+    with pytest.raises(GraphFormatError, match="^line 7: duplicate edge 1 0$"):
+        parse_graph(text)

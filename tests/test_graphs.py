@@ -78,12 +78,33 @@ class TestTypes:
         (lambda: MixedGraph(2, edges=frozenset({(0, 2)})), "edge (0,2) out of range for n=2"),
         (lambda: MixedGraph(3, edges=frozenset({(1, 1)})), "loop at vertex 1"),
         (lambda: MixedGraph(-2), "negative vertex count"),
+        (lambda: MixedGraph(3, arcs=frozenset({(2, 2)})), "loop arc at vertex 2"),
+        (lambda: MixedGraph(3, arcs=frozenset({(1, 3)})), "arc (1,3) out of range for n=3"),
+        (lambda: MixedGraph(3, arcs=frozenset({(-1, 0)})), "arc (-1,0) out of range for n=3"),
+        (lambda: MixedGraph(3, arcs=frozenset({(0, 1), (1, 0)})), "digon between 0 and 1"),
+        (lambda: MixedGraph(3, edges=frozenset({(0, 2)}), arcs=frozenset({(2, 0)})),
+         "pair {2,0} carries both an edge and an arc"),
+        (lambda: MixedGraph(5, arcs=frozenset({(0, 1), (1, 2), (3, 3), (4, 0)})),
+         "loop arc at vertex 3"),
+        (lambda: MixedGraph(5, arcs=frozenset({(0, 1), (2, 1), (4, 5), (3, 4)})),
+         "arc (4,5) out of range for n=5"),
+        (lambda: MixedGraph(5, edges=frozenset({(0, 1), (2, 4)}),
+                            arcs=frozenset({(1, 2), (3, 0), (4, 2)})),
+         "pair {4,2} carries both an edge and an arc"),
     ], ids=["above-n", "negative-end", "loop", "loop-in-list", "negative-n", "triple",
-            "mixed-above-n", "mixed-loop", "mixed-negative-n"])
+            "mixed-above-n", "mixed-loop", "mixed-negative-n", "loop-arc",
+            "arc-above-n", "arc-negative-end", "digon", "edge-and-arc",
+            "loop-arc-among-arcs", "arc-above-n-among-arcs", "edge-and-arc-among-arcs"])
     def test_constructor_rejections(self, make, message):
         with pytest.raises(ValueError) as info:
             make()
         assert str(info.value) == message
+
+    def test_digon_among_arcs_rejected(self):
+        # either arc of the digon may be met first, so both namings are right
+        with pytest.raises(ValueError) as info:
+            MixedGraph(5, arcs=frozenset({(0, 1), (1, 2), (3, 2), (2, 3), (4, 0)}))
+        assert str(info.value) in ("digon between 2 and 3", "digon between 3 and 2")
 
     def test_mistyped_endpoint_rejected(self):
         with pytest.raises(TypeError, match="'<' not supported"):

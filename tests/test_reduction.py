@@ -292,6 +292,11 @@ class TestMapAndAssignmentFiles:
         _, rm = build_reduction(y, drop_pendants=True)
         assert parse_reduction_map(serialize_reduction_map(rm)) == rm
 
+    def test_other_comments_ignored(self):
+        _, rm = build_reduction(CnfInstance(3, ((1, 2, 3),)), drop_pendants=True)
+        text = "c written by hand\n" + serialize_reduction_map(rm) + "  c trailing note\n"
+        assert parse_reduction_map(text) == rm
+
     def test_tampered_map_rejected(self):
         y = CnfInstance(3, ((1, 2, 3),))
         _, rm = build_reduction(y)
@@ -309,9 +314,18 @@ class TestMapAndAssignmentFiles:
         ("var 3 8 9 10 11", "var 4 8 9 10 11", "variable lines must cover"),
         ("var 1 0 1 2 3", "var 1 0 1 2", "has 3 vertices"),
         ("var 1 0 1 2 3", "var 1 0 1 2 13", "inconsistent with the reconstruction"),
+        ("c drop-pendants 0\n", "", "^missing 'c drop-pendants <0\\|1>' line$"),
+        ("c drop-pendants 0", "c drop-pendants yes",
+         "^line 1: expected 'c drop-pendants <0\\|1>', got 'c drop-pendants yes'$"),
+        ("c drop-pendants 0", "c drop-pendants 2", "expected 'c drop-pendants"),
+        ("c drop-pendants 0", "c drop-pendants", "expected 'c drop-pendants"),
+        ("c drop-pendants 0", "c drop-pendants 0 1", "expected 'c drop-pendants"),
+        ("c drop-pendants 0", "c drop-pendants 0\nc drop-pendants 0",
+         "^line 2: duplicate drop-pendants line$"),
     ], ids=["duplicate-clause", "duplicate-variable", "non-integer-clause",
             "non-integer-path", "unrecognised-line", "clause-gap", "variable-gap",
-            "path-length", "ids-disagree-with-rebuild"])
+            "path-length", "ids-disagree-with-rebuild", "missing-flag-line",
+            "flag-yes", "flag-2", "flag-absent", "flag-extra-field", "duplicate-flag-line"])
     def test_malformed_map_rejected(self, old, new, reason):
         _, rm = build_reduction(CnfInstance(3, ((1, 2, 3),)))
         text = serialize_reduction_map(rm)

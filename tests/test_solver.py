@@ -198,6 +198,19 @@ class TestPartialOrientation:
             with pytest.raises(ValueError):
                 PartialOrientation(c4, m)
 
+    @pytest.mark.parametrize("edges,arcs", [
+        (set(), {(0, 1), (1, 2), (0, 2)}),
+        (set(), {(1, 0), (2, 1), (2, 0)}),
+        ({(0, 1)}, {(2, 1), (2, 0)}),
+    ], ids=["forward-chord", "backward-chord", "chord-beside-edge"])
+    def test_arc_off_the_base_rejected(self, edges, arcs):
+        # the chord 0-2 is no edge of the path 0-1-2-3; it stands in for the
+        # edge 2-3, so the pair counts agree and only the pairs themselves differ
+        path = Graph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+        with pytest.raises(ValueError) as info:
+            PartialOrientation(path, MixedGraph(4, frozenset(edges), frozenset(arcs)))
+        assert str(info.value) == "mixed graph is not a partial orientation of the base graph"
+
     @given(mixed_graphs())
     def test_wraps_own_underlying(self, m):
         assert PartialOrientation(underlying(m), m).mixed is m
