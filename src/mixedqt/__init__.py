@@ -13,24 +13,11 @@ from .graphs import (
     Edge,
     Graph,
     MixedGraph,
-    bipartition,
-    complete_graph,
-    connected_components,
-    cut_vertices,
-    cycle_graph,
     delete_vertices,
     edge,
-    edge_subgraph,
     find_odd_cycle,
     girth,
-    has_odd_cycle,
-    independent_vertex_cuts,
-    is_connected,
     mixed_square,
-    net_graph,
-    path_graph,
-    prism_graph,
-    square_dipath_witnesses,
     triangle_free_edges,
     underlying,
     undirected_square,

@@ -88,33 +88,31 @@ def connected_graphs(max_n: int, *, max_degree: int | None = None,
 
 
 def random_connected_graph(n: int, max_degree: int, rng: random.Random) -> Graph:
-    """A random connected graph with the given degree bound."""
+    """A random connected graph with the given degree bound.
+
+    A random tree comes first, each new vertex hung from an earlier one with
+    room left; while the bound is at least two a leaf always has room.
+    """
     if n < 1:
         raise ValueError("need at least one vertex")
-    while True:
-        edges: set[tuple[int, int]] = set()
-        degree = [0] * n
-        ok = True
-        for v in range(1, n):
-            parents = [u for u in range(v) if degree[u] < max_degree]
-            if not parents:
-                ok = False
-                break
-            u = rng.choice(parents)
-            edges.add(edge(u, v))
+    if n > 1 and max_degree < min(n - 1, 2):
+        raise ValueError(f"no connected graph on {n} vertices has maximum degree {max_degree}")
+    edges: set[tuple[int, int]] = set()
+    degree = [0] * n
+    for v in range(1, n):
+        u = rng.choice([u for u in range(v) if degree[u] < max_degree])
+        edges.add(edge(u, v))
+        degree[u] += 1
+        degree[v] += 1
+    spare = [(u, v) for u, v in combinations(range(n), 2) if (u, v) not in edges]
+    rng.shuffle(spare)
+    extra = rng.randint(0, len(spare))
+    for u, v in spare[:extra]:
+        if degree[u] < max_degree and degree[v] < max_degree:
+            edges.add((u, v))
             degree[u] += 1
             degree[v] += 1
-        if not ok:
-            continue
-        spare = [(u, v) for u, v in combinations(range(n), 2) if (u, v) not in edges]
-        rng.shuffle(spare)
-        extra = rng.randint(0, len(spare))
-        for u, v in spare[:extra]:
-            if degree[u] < max_degree and degree[v] < max_degree:
-                edges.add((u, v))
-                degree[u] += 1
-                degree[v] += 1
-        return Graph(n, frozenset(edges))
+    return Graph(n, frozenset(edges))
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -126,6 +124,8 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
 def random_oriented(n: int, mean_degree: float, rng: random.Random) -> MixedGraph:
     """A random oriented graph with round(n * mean_degree / 2) arcs."""
     m = round(n * mean_degree / 2)
+    if m > n * (n - 1) // 2:
+        raise ValueError(f"{m} arcs do not fit on {n} vertices")
     arcs: set[tuple[int, int]] = set()
     while len(arcs) < m:
         u, v = rng.sample(range(n), 2)

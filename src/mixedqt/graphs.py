@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from operator import itemgetter
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 Edge = tuple[int, int]
 Arc = tuple[int, int]
+# each vertex's neighbours, by vertex: a dict, or a tuple indexed by vertex
+Adjacency = Mapping[int, AbstractSet[int]] | Sequence[AbstractSet[int]]
 
 
 def edge(u: int, v: int) -> Edge:
@@ -76,9 +77,6 @@ class Graph:
 
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return u != v and edge(u, v) in self.edges
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
@@ -152,34 +150,6 @@ class MixedGraph:
 
 
 # ---------------------------------------------------------------------------
-# Small named graphs
-
-def path_graph(k: int) -> Graph:
-    return Graph(k, frozenset((i, i + 1) for i in range(k - 1)))
-
-
-def cycle_graph(k: int) -> Graph:
-    if k < 3:
-        raise ValueError("cycles need at least 3 vertices")
-    return Graph(k, frozenset((i, (i + 1) % k) for i in range(k)))
-
-
-def complete_graph(k: int) -> Graph:
-    return Graph(k, frozenset(combinations(range(k), 2)))
-
-
-def net_graph() -> Graph:
-    """Triangle 0,1,2 with pendant edges 0-3, 1-4, 2-5."""
-    return Graph(6, frozenset({(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)}))
-
-
-def prism_graph() -> Graph:
-    """The triangular prism: two triangles joined by a perfect matching."""
-    return Graph(6, frozenset({(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
-                               (0, 3), (1, 4), (2, 5)}))
-
-
-# ---------------------------------------------------------------------------
 # Squares
 
 def underlying(m: MixedGraph) -> Graph:
@@ -203,24 +173,6 @@ def mixed_square(m: MixedGraph) -> MixedGraph:
     return MixedGraph(m.n, frozenset(new_edges), m.arcs)
 
 
-def square_dipath_witnesses(m: MixedGraph) -> dict[Edge, tuple[int, int, int]]:
-    """Map each edge added by ``mixed_square`` to a 2-dipath (u, w, v) creating it.
-
-    The recorded triple satisfies (u, w) and (w, v) in m.arcs; when several
-    middle vertices qualify the smallest is kept.
-    """
-    witnesses: dict[Edge, tuple[int, int, int]] = {}
-    out = m.out_adj
-    for w in range(m.n):
-        for u in sorted(m.in_adj[w]):
-            for v in sorted(out[w]):
-                if u != v and not m.adjacent(u, v):
-                    e = edge(u, v)
-                    if e not in witnesses or witnesses[e][1] > w:
-                        witnesses[e] = (u, w, v)
-    return witnesses
-
-
 def undirected_square(m: MixedGraph) -> Graph:
     """The simple graph underlying the mixed square."""
     return underlying(mixed_square(m))
@@ -241,35 +193,12 @@ def has_triangle(g: Graph) -> bool:
     return any(adj[u] & adj[v] for u, v in g.edges)
 
 
-def edge_subgraph(g: Graph, x: Iterable[Edge]) -> tuple[Graph, tuple[int, ...]]:
-    """The graph formed from the edge subset ``x``.
+def _two_colour(vertices: Iterable[int], adj: Adjacency
+                ) -> tuple[dict[int, int], dict[int, int | None], tuple[int, int] | None]:
+    """Breadth-first 2-colouring of the graph ``adj`` gives on ``vertices``,
+    rooting each component at its first vertex in the order of ``vertices``.
 
-    Vertices are the endpoints of ``x`` re-indexed densely; the second return
-    value maps each new index back to the original vertex id.
-    """
-    xs = frozenset(edge(u, v) for u, v in x)
-    if not xs <= g.edges:
-        bad = sorted(xs - g.edges)[0]
-        raise ValueError(f"pair {bad} is not an edge of the host graph")
-    vertices = sorted({v for e in xs for v in e})
-    index = {v: i for i, v in enumerate(vertices)}  # increasing, so pairs stay sorted
-    sub = Graph(len(vertices), frozenset((index[u], index[v]) for u, v in xs))
-    return sub, tuple(vertices)
-
-
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Vertex sets of the connected components, sorted by smallest member."""
-    return _components_of(set(range(g.n)), g.adj)
-
-
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
-
-
-def _two_colour(g: Graph) -> tuple[dict[int, int], dict[int, int | None],
-                                    tuple[int, int] | None]:
-    """Breadth-first 2-colouring from each component's smallest vertex.
-
+    Every neighbour listed in ``adj`` must itself be one of ``vertices``.
     Returns the colours, the BFS parents in the order the vertices were
     reached (each root, with parent None, before the rest of its tree) and
     the first edge found with both ends the same colour (None when the graph
@@ -277,10 +206,9 @@ def _two_colour(g: Graph) -> tuple[dict[int, int], dict[int, int | None],
     order: on a bipartite graph no colour depends on it, only which clash,
     and so which odd cycle, is found on one that is not.
     """
-    adj = g.adj
     colour: dict[int, int] = {}
     parent: dict[int, int | None] = {}
-    for root in range(g.n):
+    for root in vertices:
         if root in colour:
             continue
         colour[root] = 0
@@ -301,7 +229,7 @@ def _two_colour(g: Graph) -> tuple[dict[int, int], dict[int, int | None],
 
 def find_odd_cycle(g: Graph) -> tuple[int, ...] | None:
     """An odd cycle as a vertex sequence, or None when the graph is bipartite."""
-    _colour, parent, clash = _two_colour(g)
+    _colour, parent, clash = _two_colour(range(g.n), g.adj)
     return None if clash is None else _tree_cycle(parent, *clash)
 
 
@@ -318,23 +246,6 @@ def _tree_cycle(parent: dict[int, int | None], x: int, y: int) -> tuple[int, ...
     cx = px[: px.index(meet) + 1]
     cy = py[: py.index(meet)]
     return tuple(cx + cy[::-1])
-
-
-def has_odd_cycle(g: Graph) -> bool:
-    """True iff the graph is not bipartite."""
-    return find_odd_cycle(g) is not None
-
-
-def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
-    """A 2-colouring (V1, V2), or None when an odd cycle exists.
-
-    Deterministic: the smallest vertex of each component lands in V1.
-    """
-    colour, _parent, clash = _two_colour(g)
-    if clash is not None:
-        return None
-    v1 = frozenset(v for v, c in colour.items() if c == 0)
-    return v1, frozenset(range(g.n)) - v1
 
 
 def girth(g: Graph) -> int | float:
@@ -367,22 +278,22 @@ def girth(g: Graph) -> int | float:
     return best
 
 
-def _articulation_points(vertices: Iterable[int], adj: dict[int, set[int]]) -> set[int]:
-    """Articulation points of the graph given by an adjacency mapping."""
-    order = sorted(vertices)
+def _articulation_points(vertices: Iterable[int], adj: Adjacency) -> set[int]:
+    """Articulation points of the graph ``adj`` gives on ``vertices``, whose
+    neighbours must all be among ``vertices``."""
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     parent: dict[int, int | None] = {}
     points: set[int] = set()
     timer = 0
-    for root in order:
+    for root in vertices:
         if root in disc:
             continue
         parent[root] = None
         disc[root] = low[root] = timer
         timer += 1
         root_children = 0
-        stack = [(root, iter(sorted(adj[root])))]
+        stack = [(root, iter(adj[root]))]
         while stack:
             v, it = stack[-1]
             advanced = False
@@ -393,7 +304,7 @@ def _articulation_points(vertices: Iterable[int], adj: dict[int, set[int]]) -> s
                         root_children += 1
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, iter(sorted(adj[w]))))
+                    stack.append((w, iter(adj[w])))
                     advanced = True
                     break
                 elif w != parent[v]:
@@ -410,15 +321,7 @@ def _articulation_points(vertices: Iterable[int], adj: dict[int, set[int]]) -> s
     return points
 
 
-def cut_vertices(g: Graph) -> frozenset[int]:
-    """All articulation points of the graph."""
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
-    return frozenset(_articulation_points(range(g.n), adj))
-
-
-def _components_of(vertices: Iterable[int],
-                   adj: Mapping[int, AbstractSet[int]] | Sequence[AbstractSet[int]]
-                   ) -> list[frozenset[int]]:
+def _components_of(vertices: Iterable[int], adj: Adjacency) -> list[frozenset[int]]:
     """Connected components of the subgraph induced on ``vertices``, sorted
     by smallest member; ``adj`` maps each vertex to its neighbours."""
     left = set(vertices)
@@ -438,47 +341,6 @@ def _components_of(vertices: Iterable[int],
                     stack.append(w)
         comps.append(frozenset(comp))
     return comps
-
-
-VertexCut = tuple[frozenset[int], frozenset[int], frozenset[int]]
-
-
-def independent_vertex_cuts(g: Graph, max_size: int = 3) -> list[VertexCut]:
-    """All triples (I, V1, V2) where the independent set I separates V1 from V2.
-
-    The triple partitions the vertex set; every vertex of I has a neighbour
-    on both sides, no V1-V2 edge exists, and each side is a nonempty union of
-    components of g-I.  Bipartitions are produced once, with the component
-    containing the smallest remaining vertex always on the V1 side.
-    """
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
-    cuts: list[VertexCut] = []
-    for size in range(1, max_size + 1):
-        for cand in combinations(range(g.n), size):
-            if any(b in adj[a] for a, b in combinations(cand, 2)):
-                continue
-            rest = set(range(g.n)) - set(cand)
-            comps = _components_of(rest, adj)
-            if len(comps) < 2:
-                continue
-            sets = set(cand)
-            touch = [frozenset(i for i, c in enumerate(comps) if adj[v] & c)
-                     for v in cand]
-            for mask in range(2 ** (len(comps) - 1)):
-                side2_idx = {i + 1 for i in range(len(comps) - 1) if mask >> i & 1}
-                if not side2_idx:
-                    continue
-                side1_idx = set(range(len(comps))) - side2_idx
-                if not all(t & side1_idx and t & side2_idx for t in touch):
-                    continue
-                v1 = frozenset().union(*(comps[i] for i in sorted(side1_idx)))
-                v2 = frozenset().union(*(comps[i] for i in sorted(side2_idx)))
-                cuts.append((frozenset(sets), v1, v2))
-    return cuts
 
 
 def delete_vertices(g: Graph, vs: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

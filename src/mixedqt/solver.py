@@ -427,13 +427,13 @@ class _ComponentSolver:
     """The memoised region solves of one :func:`decide_qt` call.
 
     Each connected piece of the graph the fixed vertices induce is a
-    polarity class; a vertex outside them is a class of its own.
-    ``class_id`` and ``parity`` give each vertex its class and its colour in
-    the 2-colouring of that graph; a class id is the smallest vertex of its
-    piece.  A final region is solved once for each pattern of bits on the
-    classes it touches, and the result is shared by every region of the
-    same shape: the region relabelled in vertex order, its sorted vertices
-    mapped to 0..k-1, with its edges and its fixed vertices under that map.
+    polarity class.  ``class_id`` and ``parity`` give each fixed vertex its
+    class and its colour in the 2-colouring of that graph; a class id is the
+    smallest vertex of its piece.  A final region is solved once for each
+    pattern of bits on the classes it touches, and the result is shared by
+    every region of the same shape: the region relabelled in vertex order,
+    its sorted vertices mapped to 0..k-1, with its edges and its fixed
+    vertices under that map.
     Each shape is encoded once, and each pattern is solved as assumptions on
     its pin literals.
     """
@@ -537,8 +537,9 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation 
             regions.extend(_regions(region, adj0, fixed))
         else:
             final.append(region)
-    fixed_graph = Graph(g.n, frozenset(e for e in g.edges if e[0] in fixed and e[1] in fixed))
-    parity, parent, clash = _two_colour(fixed_graph)
+    # the graph the fixed vertices induce, keyed in increasing order
+    fixed_adj = {v: adj0[v] & fixed for v in sorted(fixed)}
+    parity, parent, clash = _two_colour(fixed_adj, fixed_adj)
     if clash is not None:
         return None  # adjacent fixed vertices alternate, which an odd cycle forbids
     # the BFS meets each tree's root, the smallest vertex of its piece, first
@@ -560,7 +561,10 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation 
         arcs.update((order[u], order[v]) for u, v in sub_arcs)
     # an edge between two fixed vertices runs from the source to the sink,
     # whatever a region made of it: that arc lies on no 2-dipath
-    for u, v in fixed_graph.edges:
-        kept.discard((u, v))
-        arcs.add((u, v) if parity[u] == bits.get(class_id[u], 0) else (v, u))
+    for u, nbrs in fixed_adj.items():
+        source = parity[u] == bits.get(class_id[u], 0)
+        for v in nbrs:
+            if u < v:
+                kept.discard((u, v))
+                arcs.add((u, v) if source else (v, u))
     return PartialOrientation(g, MixedGraph(g.n, frozenset(kept), frozenset(arcs)))

@@ -162,7 +162,7 @@ def decide_girth4(g: Graph) -> PartialOrientation | None:
     witness orients every edge away from the colour class of each
     component's smallest vertex, making every vertex a source or a sink.
     """
-    colour, _parent, clash = _two_colour(g)
+    colour, _parent, clash = _two_colour(range(g.n), g.adj)
     if clash is not None:
         # a bipartite graph has no triangle, so only a NO needs the check
         if has_triangle(g):

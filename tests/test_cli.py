@@ -10,16 +10,14 @@ from mixedqt.generate import random_connected_graph
 from mixedqt.graphs import (
     Graph,
     MixedGraph,
-    complete_graph,
-    cycle_graph,
     edge,
     has_triangle,
-    net_graph,
-    prism_graph,
     undirected_square,
 )
 from mixedqt.reduction import parse_assignment
 from mixedqt.solver import verify_witness
+
+from helpers import complete_graph, cycle_graph, net_graph, prism_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -10,9 +10,10 @@ from mixedqt.formats import (
     serialize_graph,
     serialize_mixed,
 )
-from mixedqt.graphs import Graph, MixedGraph, cycle_graph
+from mixedqt.graphs import Graph, MixedGraph
 
 from conftest import graphs, mixed_graphs
+from helpers import cycle_graph
 
 
 @given(graphs())

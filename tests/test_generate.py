@@ -11,7 +11,9 @@ from mixedqt.generate import (
     random_nae_instance,
     random_oriented,
 )
-from mixedqt.graphs import Graph, is_connected
+from mixedqt.graphs import Graph
+
+from helpers import to_nx
 
 
 def all_labelled_classes(n, max_degree=None, triangle_free=False):
@@ -22,13 +24,11 @@ def all_labelled_classes(n, max_degree=None, triangle_free=False):
     for mask in range(2 ** len(pairs)):
         edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
         g = Graph(n, edges)
-        if not is_connected(g):
+        h = to_nx(g)
+        if not nx.is_connected(h):
             continue
         if max_degree is not None and g.max_degree() > max_degree:
             continue
-        h = nx.Graph()
-        h.add_nodes_from(range(n))
-        h.add_edges_from(edges)
         if triangle_free and any(nx.triangles(h).values()):
             continue
         if not any(nx.is_isomorphic(h, r) for r in reps):
@@ -55,9 +55,9 @@ class TestExhaustiveGeneration:
 
     def test_members_satisfy_constraints(self, deg3_corpus, triangle_free_corpus):
         for g in deg3_corpus:
-            assert is_connected(g) and g.max_degree() <= 3
+            assert nx.is_connected(to_nx(g)) and g.max_degree() <= 3
         for g in triangle_free_corpus:
-            assert is_connected(g)
+            assert nx.is_connected(to_nx(g))
             assert not any(g.adj[u] & g.adj[v] for u, v in g.edges)
 
     def test_no_isomorphic_duplicates(self, deg3_corpus):
@@ -78,7 +78,16 @@ class TestRandomGenerators:
     def test_connected_degree_bounded(self, rng):
         for _ in range(25):
             g = random_connected_graph(rng.randint(2, 10), 3, rng)
-            assert is_connected(g) and g.max_degree() <= 3
+            assert nx.is_connected(to_nx(g)) and g.max_degree() <= 3
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: random_connected_graph(3, 1, rng),
+        lambda rng: random_connected_graph(2, 0, rng),
+        lambda rng: random_oriented(4, 4.0, rng),
+    ], ids=["path-needs-degree-2", "edge-needs-degree-1", "more-arcs-than-pairs"])
+    def test_impossible_parameters_rejected(self, make, rng):
+        with pytest.raises(ValueError):
+            make(rng)
 
     def test_random_nae_instances_valid(self, rng):
         for _ in range(25):

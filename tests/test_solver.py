@@ -15,12 +15,8 @@ from mixedqt.generate import random_connected_graph, random_nae_instance, random
 from mixedqt.graphs import (
     Graph,
     MixedGraph,
-    complete_graph,
-    cycle_graph,
     edge,
-    independent_vertex_cuts,
     mixed_square,
-    net_graph,
     underlying,
     undirected_square,
 )
@@ -49,6 +45,7 @@ from mixedqt.solver import (
 )
 
 from conftest import graphs, mixed_graphs
+from helpers import complete_graph, cycle_graph, independent_vertex_cuts, net_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 COMPLETE_5 = CnfInstance(5, tuple(combinations(range(1, 6), 3)))
@@ -100,9 +97,9 @@ def glued_pair(rng, dense=False):
             continue
         k = 3 if dense else rng.randint(1, 3)
         sa = [s for s in combinations(range(a.n), k)
-              if not any(a.has_edge(u, v) for u, v in combinations(s, 2))]
+              if not any(v in a.adj[u] for u, v in combinations(s, 2))]
         sb = [s for s in combinations(range(b.n), k)
-              if not any(b.has_edge(u, v) for u, v in combinations(s, 2))]
+              if not any(v in b.adj[u] for u, v in combinations(s, 2))]
         if not sa or not sb:
             continue
         glue = dict(zip(rng.choice(sb), rng.choice(sa)))

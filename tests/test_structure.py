@@ -5,16 +5,7 @@ import sys
 import pytest
 from hypothesis import given
 
-from mixedqt.graphs import (
-    Graph,
-    MixedGraph,
-    complete_graph,
-    cycle_graph,
-    delete_vertices,
-    net_graph,
-    path_graph,
-    prism_graph,
-)
+from mixedqt.graphs import Graph, MixedGraph, delete_vertices
 from mixedqt.solver import (
     VertexStatus,
     decide_qt,
@@ -35,6 +26,7 @@ from mixedqt.structure import (
 from mixedqt.generate import random_connected_graph
 
 from conftest import graphs
+from helpers import complete_graph, cycle_graph, net_graph, path_graph, prism_graph
 
 
 def house_graph():
