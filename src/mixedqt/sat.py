@@ -1,8 +1,10 @@
 """A conflict-driven clause-learning SAT solver, solved under assumptions.
 
 Variable v has literals ``2 * v`` (true) and ``2 * v + 1`` (false), so
-``lit ^ 1`` negates.  Binary clauses are implication lists and longer ones
-are watched by two literals (Chaff: Moskewicz et al., DAC 2001).  A conflict
+``lit ^ 1`` negates.  A solver is built from the binary clauses, given as
+implication lists (the clause ``a or b`` puts ``b`` in the list of ``a ^ 1``
+and ``a`` in that of ``b ^ 1``), and the clauses of three or more literals,
+watched by two literals (Chaff: Moskewicz et al., DAC 2001).  A conflict
 yields a first-UIP clause and a backjump (GRASP: Marques-Silva & Sakallah
 1999).  A decision takes the unassigned variable of highest VSIDS activity
 with its last value (phase saving); only bumped variables enter the heap,
@@ -26,21 +28,25 @@ DECAY = 0.95          # VSIDS activity decay per conflict
 
 
 class Solver:
-    """A CNF over ``num_vars`` variables, solved under assumptions.
+    """A CNF over ``len(bins) // 2`` variables, solved under assumptions.
 
     ``value`` maps a literal to 1 (true), -1 (false) or 0 (unassigned);
-    ``bins[lit]`` holds the literals ``lit`` implies by the binary clauses
-    given, and ``watches[lit]`` the other clauses watching it, at index 0
-    or 1; learnt clauses are watched, whatever their length.  A reason is
-    None for a decision or a unit, the true literal that implied the
-    variable by a binary clause, or the clause that implied it, which holds
-    the implied literal at index 0.  After a solve answers None, ``core``
-    holds assumptions that the clauses refute together: empty when the
-    clauses alone are unsatisfiable.
+    ``bins[lit]`` holds the literals ``lit`` implies by binary clauses, and
+    ``watches[lit]`` the other clauses watching it, at index 0 or 1; learnt
+    clauses are watched, whatever their length.  A reason is None for a
+    decision or a unit, the true literal that implied the variable by a
+    binary clause, or the clause that implied it, which holds the implied
+    literal at index 0.  After a solve answers None, ``core`` holds
+    assumptions that the clauses refute together: empty when the clauses
+    alone are unsatisfiable.
     """
 
-    def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]]):
-        """Clauses have two or more distinct literals each."""
+    def __init__(self, bins: list[Sequence[int]], clauses: Iterable[list[int]]):
+        """``bins[lit]`` lists the literals ``lit`` implies, a list or a
+        tuple per literal, and the ``clauses`` are lists of three or more
+        distinct literals; the solver keeps both, reorders the clauses'
+        literals and grows the implication lists when clauses are added."""
+        num_vars = len(bins) // 2
         self.value = [0] * (2 * num_vars)
         self.level = [0] * num_vars
         self.reason: list = [None] * num_vars
@@ -56,16 +62,10 @@ class Solver:
         self.bump = 1.0
         self.ok = True
         self.core: list[int] = []
-        # tuples take less memory than lists, and few literals imply many
-        self.bins: list[tuple[int, ...]] = [()] * (2 * num_vars)
-        for c in clauses:
-            if len(c) > 2:
-                clause = list(c)
-                self.watches[clause[0]].append(clause)
-                self.watches[clause[1]].append(clause)
-            else:
-                self.bins[c[0] ^ 1] += (c[1],)
-                self.bins[c[1] ^ 1] += (c[0],)
+        self.bins = bins
+        for clause in clauses:
+            self.watches[clause[0]].append(clause)
+            self.watches[clause[1]].append(clause)
 
     def _assign(self, lit: int, reason) -> None:
         self.value[lit] = 1
@@ -129,7 +129,7 @@ class Solver:
         if len(c) > 2:
             self.watches[c[0]].append(c)
             self.watches[c[1]].append(c)
-        elif len(c) == 2:
+        elif len(c) == 2:   # a list grows in place, a tuple is replaced
             self.bins[c[0] ^ 1] += (c[1],)
             self.bins[c[1] ^ 1] += (c[0],)
         elif c:

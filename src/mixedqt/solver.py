@@ -369,8 +369,10 @@ def _encode(k: int, edges: frozenset[Edge], pinned: tuple[int, ...]
 
     Edge i of the sorted edge list has variable 2i for the arc from its
     lower end and 2i + 1 for the reverse arc; the pins' variables come next
-    (true: a source) and the wedges' last.  Returns the edge list, the
-    solver and the pins' positive literals, in the order of ``pinned``.
+    (true: a source) and the wedges' last.  The CNF is written in one pass,
+    its binary clauses straight into the solver's implication lists.
+    Returns the edge list, the solver and the pins' positive literals, in
+    the order of ``pinned``.
     """
     elist = sorted(edges)
     adj: list[set[int]] = [set() for _ in range(k)]
@@ -380,36 +382,49 @@ def _encode(k: int, edges: frozenset[Edge], pinned: tuple[int, ...]
     wedges = [sorted(adj[u] & adj[v]) for u, v in elist]
     first_pin = 2 * len(elist)   # the pins' variables follow the arcs', then the wedges'
     first_wedge = first_pin + len(pinned)
-    nvars = first_wedge + 2 * sum(map(len, wedges))
-    lits = list(range(2 * nvars))   # one int object per literal, shared by its clauses
-    index = {e: 4 * i for i, e in enumerate(elist)}
-
-    def arc(a: int, b: int) -> int:
-        return lits[index[a, b]] if a < b else lits[index[b, a] + 2]
-
-    def clauses() -> Iterator[tuple[int, ...] | list[int]]:
-        x = 2 * first_wedge   # the next wedge variable's literal
-        for (u, v), ws in zip(elist, wedges):
-            yield lits[arc(u, v) ^ 1], lits[arc(v, u) ^ 1]
-            cover = [arc(u, v), arc(v, u)]
-            for w in ws:
-                for a, b in ((u, v), (v, u)):
-                    yield lits[x + 1], arc(a, w)
-                    yield lits[x + 1], arc(w, b)
-                    cover.append(lits[x])
-                    x += 2
-            yield cover
-        for w in range(k):
-            for u in adj[w]:
-                for v in adj[w]:
-                    if u != v and v not in adj[u]:
-                        yield lits[arc(u, w) ^ 1], lits[arc(w, v) ^ 1]
-        for v, p in zip(pinned, range(2 * first_pin, 2 * first_wedge, 2)):
-            for x in adj[v]:
-                yield lits[p + 1], lits[arc(x, v) ^ 1]
-                yield lits[p], lits[arc(v, x) ^ 1]
-
-    return elist, Solver(nvars, clauses()), lits[2 * first_pin:2 * first_wedge:2]
+    lits = list(range(2 * (first_wedge + 2 * sum(map(len, wedges)))))
+    # one int object per literal, shared by its clauses: arc[a][b] is the
+    # literal of the arc a -> b and nix[a][b] its negation
+    arc: list[dict[int, int]] = [{} for _ in range(k)]
+    nix: list[dict[int, int]] = [{} for _ in range(k)]
+    for i, (u, v) in enumerate(elist):
+        arc[u][v], nix[u][v], arc[v][u], nix[v][u] = lits[4 * i:4 * i + 4]
+    # a wedge literal's list is a tuple built whole, which takes less memory
+    # than a list: the two arcs the wedge implies, or none for its negation
+    bins: list = [[] for _ in range(2 * first_wedge)]
+    covers = []
+    for (u, v), ws in zip(elist, wedges):
+        bins[arc[u][v]].append(nix[v][u])
+        bins[arc[v][u]].append(nix[u][v])
+        if not ws:   # an edge in no triangle is an arc
+            bins[nix[u][v]].append(arc[v][u])
+            bins[nix[v][u]].append(arc[u][v])
+            continue
+        cover = [arc[u][v], arc[v][u]]
+        for w in ws:   # u -> w -> v, then v -> w -> u
+            x = len(bins)
+            bins += (arc[u][w], arc[w][v]), (), (arc[v][w], arc[w][u]), ()
+            bins[nix[u][w]].append(lits[x + 1])
+            bins[nix[w][v]].append(lits[x + 1])
+            bins[nix[v][w]].append(lits[x + 3])
+            bins[nix[w][u]].append(lits[x + 3])
+            cover += lits[x], lits[x + 2]
+        covers.append(cover)
+    for w in range(k):
+        out, nout = arc[w], nix[w]
+        for u in adj[w]:
+            uw, not_uw, near = arc[u][w], nix[u][w], adj[u]
+            for v in adj[w]:
+                if u != v and v not in near:
+                    bins[uw].append(nout[v])
+                    bins[out[v]].append(not_uw)
+    for v, p in zip(pinned, range(2 * first_pin, 2 * first_wedge, 2)):
+        for x in adj[v]:
+            bins[p].append(nix[x][v])
+            bins[arc[x][v]].append(lits[p + 1])
+            bins[p + 1].append(nix[v][x])
+            bins[arc[v][x]].append(lits[p])
+    return elist, Solver(bins, covers), lits[2 * first_pin:2 * first_wedge:2]
 
 
 def _decode(elist: list[Edge], model: list[bool]
@@ -495,7 +510,7 @@ def _search_classes(solver: _ComponentSolver, constraints: list[_Shape]
     """
     classes = {c for _order, _edges, pins in constraints for _i, c, _p in pins}
     var = {c: v for v, c in enumerate(sorted(classes))}
-    sat = Solver(len(var), ())
+    sat = Solver([()] * (2 * len(var)), [])
     while (model := sat.solve((), solver.budget.spend)) is not None:
         bits = {c: int(model[v]) for c, v in var.items()}
         cores = [{shape[2][j][1] for j in core} for shape in constraints

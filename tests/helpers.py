@@ -1,7 +1,8 @@
-"""Small named graphs, a networkx bridge and a brute-force oracle that only
-the tests use."""
+"""Small named graphs, a networkx bridge, a brute-force oracle and a
+reference CNF encoder that only the tests use."""
 
 from itertools import combinations
+from typing import Iterator
 
 import networkx as nx
 
@@ -78,3 +79,47 @@ def independent_vertex_cuts(g: Graph, max_size: int = 3) -> list[VertexCut]:
                 v2 = frozenset().union(*(comps[i] for i in sorted(side2_idx)))
                 cuts.append((frozenset(cand), v1, v2))
     return cuts
+
+
+def reference_clauses(k: int, edges: frozenset[tuple[int, int]],
+                      pinned: tuple[int, ...]) -> Iterator[tuple[int, ...] | list[int]]:
+    """The clauses of ``solver._encode``'s CNF, one at a time and in the
+    order its solver must meet them, stated clause by clause: per edge the
+    clause against both arcs, then per wedge (sorted) and direction the two
+    implications of its variable, then the edge's cover clause; per vertex
+    w and pair of its neighbours (in set order) the clause against an
+    induced 2-dipath through w; per pinned vertex and neighbour the clauses
+    making it a source or a sink."""
+    elist = sorted(edges)
+    adj: list[set[int]] = [set() for _ in range(k)]
+    for u, v in elist:
+        adj[u].add(v)
+        adj[v].add(u)
+    wedges = [sorted(adj[u] & adj[v]) for u, v in elist]
+    first_pin = 2 * len(elist)
+    first_wedge = first_pin + len(pinned)
+    index = {e: 4 * i for i, e in enumerate(elist)}
+
+    def arc(a: int, b: int) -> int:
+        return index[a, b] if a < b else index[b, a] + 2
+
+    x = 2 * first_wedge   # the next wedge variable's literal
+    for (u, v), ws in zip(elist, wedges):
+        yield arc(u, v) ^ 1, arc(v, u) ^ 1
+        cover = [arc(u, v), arc(v, u)]
+        for w in ws:
+            for a, b in ((u, v), (v, u)):
+                yield x + 1, arc(a, w)
+                yield x + 1, arc(w, b)
+                cover.append(x)
+                x += 2
+        yield cover
+    for w in range(k):
+        for u in adj[w]:
+            for v in adj[w]:
+                if u != v and v not in adj[u]:
+                    yield arc(u, w) ^ 1, arc(w, v) ^ 1
+    for v, p in zip(pinned, range(2 * first_pin, 2 * first_wedge, 2)):
+        for y in adj[v]:
+            yield p + 1, arc(y, v) ^ 1
+            yield p, arc(v, y) ^ 1

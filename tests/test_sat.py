@@ -5,6 +5,21 @@ import pytest
 from mixedqt.sat import Solver
 
 
+def make_solver(num_vars, clauses, kind=tuple):
+    """A solver for a list of clauses of two or more distinct literals:
+    each binary clause goes into two implication lists of type ``kind``,
+    the longer clauses are handed over as they are."""
+    bins = [kind() for _ in range(2 * num_vars)]
+    long = []
+    for c in clauses:
+        if len(c) > 2:
+            long.append(list(c))
+        else:
+            bins[c[0] ^ 1] += (c[1],)
+            bins[c[1] ^ 1] += (c[0],)
+    return Solver(bins, long)
+
+
 def brute_force(num_vars, clauses, assumptions):
     """Whether some assignment satisfies every clause and assumption."""
     for bits in product((False, True), repeat=num_vars):
@@ -45,13 +60,14 @@ def pigeonhole(pigeons, holes):
 def test_agrees_with_brute_force_under_assumptions(rng):
     # one solver answers several sets of assumptions in turn, so clauses
     # learnt under one set must stay sound under the next; after a NO, the
-    # final conflict is a set of assumptions the clauses refute
+    # final conflict is a set of assumptions the clauses refute; every
+    # other solver holds its implications in lists rather than tuples
     answers = [0, 0]
     shrunk = 0   # NO answers whose core leaves some assumption out
-    for _ in range(300):
+    for i in range(300):
         num_vars = rng.randint(2, 9)
         clauses = random_cnf(rng, num_vars, rng.randint(1, 5 * num_vars))
-        solver = Solver(num_vars, clauses)
+        solver = make_solver(num_vars, clauses, (tuple, list)[i % 2])
         for _ in range(3):
             assumed = rng.sample(range(num_vars), rng.randint(0, num_vars // 2))
             assumptions = [2 * v + rng.randint(0, 1) for v in assumed]
@@ -72,7 +88,7 @@ def test_pigeonhole_refuted_across_activity_rescaling():
     # started just below the point where activities are scaled down, so
     # the refutation runs on both sides of it
     num_vars, clauses = pigeonhole(6, 5)
-    solver = Solver(num_vars, clauses)
+    solver = make_solver(num_vars, clauses)
     solver.bump = 1e99
     assert solver.solve([], lambda: None) is None
     assert solver.bump < 1e99   # scaled down
@@ -82,7 +98,7 @@ def test_pigeonhole_refuted_across_activity_rescaling():
 
 def test_search_resumes_after_spend_raises():
     num_vars, clauses = pigeonhole(5, 5)
-    solver = Solver(num_vars, clauses)
+    solver = make_solver(num_vars, clauses)
     calls = []
 
     def stop_early():
@@ -99,18 +115,19 @@ def test_search_resumes_after_spend_raises():
 def test_clauses_added_between_solves(rng):
     # the unit not-x0 forces x1 at level 0, so assuming not-x1 fails on its
     # own whatever comes before it; then not-x1 as a clause is empty there
-    solver = Solver(3, [[0, 2]])
+    solver = make_solver(3, [[0, 2]])
     solver.add_clause([1])
     assert solver.solve([4, 3], lambda: None) is None and solver.core == [3]
     solver.add_clause([3])
     assert solver.solve([], lambda: None) is None and solver.core == []
-    # random clauses of one to four literals, added between solves
+    # random clauses of one to four literals, added between solves, to
+    # implication lists that are tuples or, every other time, lists
     answers = [0, 0]
     lengths = set()
-    for _ in range(200):
+    for i in range(200):
         num_vars = rng.randint(2, 8)
         clauses = random_cnf(rng, num_vars, rng.randint(1, 3 * num_vars))
-        solver = Solver(num_vars, clauses)
+        solver = make_solver(num_vars, clauses, (tuple, list)[i % 2])
         for _ in range(5):
             chosen = rng.sample(range(num_vars), rng.randint(1, min(4, num_vars)))
             clauses.append([2 * v + rng.randint(0, 1) for v in chosen])
@@ -127,3 +144,13 @@ def test_clauses_added_between_solves(rng):
                 assert not brute_force(num_vars, clauses, solver.core)
             answers[expected] += 1
     assert min(answers) > 100 and lengths == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("bins", [[()] * 8, [[] for _ in range(8)]],
+                         ids=["one-shared-tuple", "lists"])
+def test_binary_clause_extends_only_its_two_lists(bins):
+    # one empty tuple may stand for every literal, since adding to a tuple
+    # replaces it; lists that shared one object would all take the clause
+    solver = Solver(bins, [[1, 4, 6]])
+    solver.add_clause([3, 5])
+    assert [list(b) for b in solver.bins] == [[], [], [5], [], [3], [], [], []]

@@ -45,7 +45,13 @@ from mixedqt.solver import (
 )
 
 from conftest import graphs, mixed_graphs
-from helpers import complete_graph, cycle_graph, independent_vertex_cuts, net_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    independent_vertex_cuts,
+    net_graph,
+    reference_clauses,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 COMPLETE_5 = CnfInstance(5, tuple(combinations(range(1, 6), 3)))
@@ -471,6 +477,53 @@ class TestDecideQt:
                     assert verify_witness(g, m).ok and respects(arc_masks(m))
                 answers[expected] += 1
         assert answers[True] > 300 and answers[False] > 300
+
+    def test_encoder_matches_reference_clauses(self, rng):
+        # the solver _encode builds must be the one the reference clauses
+        # give, fed in order: every literal's implications in the same
+        # order and every watch list holding the same clauses in the same
+        # order, so that the search runs as it would on those clauses
+        def reference(k, edges, pinned):
+            clauses = list(reference_clauses(k, edges, pinned))
+            first_wedge = 2 * len(edges) + len(pinned)
+            # each wedge variable's two implications come as (not x, arc)
+            num_wedges = sum(len(c) == 2 and c[0] >= 2 * first_wedge for c in clauses) // 2
+            bins = [[] for _ in range(2 * (first_wedge + num_wedges))]
+            watches = {}
+            for c in clauses:
+                if len(c) > 2:
+                    watches.setdefault(c[0], []).append(list(c))
+                    watches.setdefault(c[1], []).append(list(c))
+                else:
+                    bins[c[0] ^ 1].append(c[1])
+                    bins[c[1] ^ 1].append(c[0])
+            return bins, watches
+
+        shapes = []
+        for _ in range(400):
+            k = rng.randint(1, 12)
+            density = rng.random()
+            edges = frozenset((a, b) for a, b in combinations(range(k), 2)
+                              if rng.random() < density)
+            shapes.append((k, edges, tuple(sorted(rng.sample(range(k), rng.randint(0, k))))))
+        no_wedge = 0
+        for g in (dipath_square(64), complete_graph(8), triangle_chain(12)):
+            shapes.append((g.n, g.edges, tuple(range(0, g.n, 3))))
+        for k, edges, pinned in shapes:
+            elist, sat, pin_lits = solver_module._encode(k, edges, pinned)
+            bins, watches = reference(k, edges, pinned)
+            assert elist == sorted(edges)
+            assert pin_lits == list(range(4 * len(elist), 4 * len(elist) + 2 * len(pinned), 2))
+            assert [list(b) for b in sat.bins] == bins
+            assert {lit: ws for lit, ws in sat.watches.items() if ws} == watches
+            no_wedge += sum(1 for c in reference_clauses(k, edges, pinned)
+                            if len(c) == 2 and not c[0] & 1 and not c[1] & 1)
+            # one int object per literal, however many clauses hold it
+            ids = {}
+            clauses = [c for ws in sat.watches.values() for c in ws]
+            for q in (q for c in sat.bins + clauses for q in c):
+                assert ids.setdefault(q, id(q)) == id(q)
+        assert no_wedge > 100
 
     def test_regions_of_one_shape_share_a_flat_search(self, monkeypatch):
         # the second chain, numbered after the first, repeats its shapes and
