@@ -56,7 +56,6 @@ from .structure import (
     decide_girth4,
     embed_universal,
     find_net,
-    is_removable,
     orient_deg3,
     reduce_removable,
     removable_vertices,
@@ -73,7 +72,6 @@ from .reduction import (
     gadget_signature_report,
     gadget_templates,
     is_nae_satisfying,
-    parse_assignment,
     parse_dimacs,
     parse_reduction_map,
     serialize_assignment,

@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import Callable
 
 from .formats import (
     GraphFormatError,
@@ -53,6 +54,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+_VERDICT_EXIT = {"YES": EXIT_YES, "NO": EXIT_NO, "BUDGET-EXCEEDED": EXIT_BUDGET}
 
 
 def _read(path: str) -> str:
@@ -143,39 +145,29 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     opts = SolveOptions(node_limit=args.node_limit)
     witness = None
     try:
-        if method == "deg3":
-            if args.witness or args.dot:
+        if method == "deg3" and not (args.witness or args.dot):
+            verdict = "YES" if decide_deg3(g) else "NO"
+        else:
+            if method == "deg3":
                 witness = orient_deg3(g, opts)
-                answer = witness is not None
+            elif method == "girth4":
+                witness = decide_girth4(g)
             else:
-                answer = decide_deg3(g)
-        elif method == "girth4":
-            witness = decide_girth4(g)
-            answer = witness is not None
-        else:
-            witness = decide_qt(g, opts)
-            answer = witness is not None
+                witness = decide_qt(g, opts)
+            verdict = "NO" if witness is None else "YES"
     except BudgetExceeded:
-        if args.json:
-            print(json.dumps({"answer": "BUDGET-EXCEEDED", "method": method,
-                              "witness": None}))
-        else:
-            print("BUDGET-EXCEEDED")
-        return EXIT_BUDGET
-    if answer and witness is not None:
+        verdict = "BUDGET-EXCEEDED"
+    if witness is not None:
         if args.witness:
             _write(args.witness, serialize_mixed(witness.mixed))
         if args.dot:
             _write(args.dot, mixed_to_dot(witness.mixed))
     if args.json:
-        print(json.dumps({
-            "answer": "YES" if answer else "NO",
-            "method": method,
-            "witness": args.witness if (answer and args.witness) else None,
-        }))
+        print(json.dumps({"answer": verdict, "method": method,
+                          "witness": args.witness if witness is not None else None}))
     else:
-        print("YES" if answer else "NO")
-    return EXIT_YES if answer else EXIT_NO
+        print(verdict)
+    return _VERDICT_EXIT[verdict]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -192,86 +184,68 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_YES if check.ok else EXIT_NO
 
 
+def _emit(args: argparse.Namespace, product: Callable[[], str], report: dict,
+          *files: tuple[str | None, Callable[[], str]]) -> int:
+    """The output rule of the commands that build something: write the
+    product to ``-o`` and then each ``(path, content)`` file whose path is
+    given, then print the JSON report under ``--json`` or, when ``-o`` took
+    no copy, the product itself.  Contents are built only when written."""
+    for path, content in ((args.output, product), *files):
+        if path:
+            _write(path, content())
+    if args.json:
+        print(json.dumps(report))
+    elif not args.output:
+        sys.stdout.write(product())
+    return EXIT_YES
+
+
 def _cmd_square(args: argparse.Namespace) -> int:
     m = parse_mixed(_read(args.mixed))
     if args.mixed_output:
         sq = mixed_square(m)
-        text = serialize_mixed(sq)
-        dot = mixed_to_dot(sq)
-        summary = {"vertices": sq.n, "edges": len(sq.edges), "arcs": len(sq.arcs)}
-    else:
-        sq = undirected_square(m)
-        text = serialize_graph(sq)
-        dot = graph_to_dot(sq)
-        summary = {"vertices": sq.n, "edges": len(sq.edges)}
-    if args.output:
-        _write(args.output, text)
-    if args.json:
-        print(json.dumps({**summary, "output": args.output}))
-    elif not args.output:
-        sys.stdout.write(text)
-    if args.dot:
-        _write(args.dot, dot)
-    return EXIT_YES
+        return _emit(args, lambda: serialize_mixed(sq),
+                     {"vertices": sq.n, "edges": len(sq.edges), "arcs": len(sq.arcs),
+                      "output": args.output},
+                     (args.dot, lambda: mixed_to_dot(sq)))
+    sq = undirected_square(m)
+    return _emit(args, lambda: serialize_graph(sq),
+                 {"vertices": sq.n, "edges": len(sq.edges), "output": args.output},
+                 (args.dot, lambda: graph_to_dot(sq)))
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
     square, root = embed_universal(g)
-    if args.output:
-        _write(args.output, serialize_graph(square))
-    if args.root:
-        _write(args.root, serialize_mixed(root))
-    if args.dot:
-        _write(args.dot, graph_to_dot(square))
-    if args.json:
-        print(json.dumps({
-            "vertices": square.n,
-            "edges": len(square.edges),
-            "root_vertices": root.n,
-            "output": args.output,
-            "root": args.root,
-        }))
-    elif not args.output:
-        sys.stdout.write(serialize_graph(square))
-    return EXIT_YES
+    return _emit(args, lambda: serialize_graph(square), {
+        "vertices": square.n,
+        "edges": len(square.edges),
+        "root_vertices": root.n,
+        "output": args.output,
+        "root": args.root,
+    }, (args.root, lambda: serialize_mixed(root)),
+        (args.dot, lambda: graph_to_dot(square)))
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     instance = parse_dimacs(_read(args.cnf))
     graph, rm = build_reduction(instance, drop_pendants=args.drop_pendants)
-    if args.output:
-        _write(args.output, serialize_graph(graph))
-    if args.map_file:
-        _write(args.map_file, serialize_reduction_map(rm))
-    if args.dot:
-        _write(args.dot, graph_to_dot(graph))
-    if args.json:
-        print(json.dumps({
-            "variables": instance.num_vars,
-            "clauses": len(instance.clauses),
-            "vertices": graph.n,
-            "edges": len(graph.edges),
-            "output": args.output,
-            "map": args.map_file,
-        }))
-    elif not args.output:
-        sys.stdout.write(serialize_graph(graph))
-    return EXIT_YES
+    return _emit(args, lambda: serialize_graph(graph), {
+        "variables": instance.num_vars,
+        "clauses": len(instance.clauses),
+        "vertices": graph.n,
+        "edges": len(graph.edges),
+        "output": args.output,
+        "map": args.map_file,
+    }, (args.map_file, lambda: serialize_reduction_map(rm)),
+        (args.dot, lambda: graph_to_dot(graph)))
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     rm = parse_reduction_map(_read(args.map))
-    m = parse_mixed(_read(args.witness))
-    f = witness_to_assignment(rm, m)
-    text = serialize_assignment(f)
-    if args.output:
-        _write(args.output, text)
-    if args.json:
-        print(json.dumps({str(x): int(val) for x, val in sorted(f.items())}))
-    elif not args.output:
-        sys.stdout.write(text)
-    return EXIT_YES
+    f = witness_to_assignment(rm, parse_mixed(_read(args.witness)))
+    return _emit(args, lambda: serialize_assignment(f),
+                 {str(x): int(val) for x, val in sorted(f.items())})
 
 
 def _cmd_gadget(args: argparse.Namespace) -> int:
@@ -328,10 +302,7 @@ def run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (GraphFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -119,16 +119,16 @@ def serialize_mixed(m: MixedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def graph_to_dot(g: Graph) -> str:
+    lines = ["graph G {"]
     lines += [f"  {v};" for v in range(g.n)]
     lines += [f"  {u} -- {v};" for u, v in sorted(g.edges)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def mixed_to_dot(m: MixedGraph, name: str = "G") -> str:
-    lines = [f"digraph {name} {{"]
+def mixed_to_dot(m: MixedGraph) -> str:
+    lines = ["digraph G {"]
     lines += [f"  {v};" for v in range(m.n)]
     lines += [f"  {u} -> {v} [dir=none];" for u, v in sorted(m.edges)]
     lines += [f"  {t} -> {h};" for t, h in sorted(m.arcs)]

@@ -64,6 +64,8 @@ def connected_graphs(max_n: int, *, max_degree: int | None = None,
                      triangle_free: bool = False) -> Iterator[Graph]:
     """All connected graphs with up to ``max_n`` vertices, one per
     isomorphism class, optionally degree-bounded or triangle-free."""
+    if max_n < 1:
+        return
     level: list[Graph] = [Graph(1)]
     yield level[0]
     for n in range(2, max_n + 1):

@@ -446,21 +446,3 @@ def parse_reduction_map(text: str) -> ReductionMap:
 def serialize_assignment(f: Assignment) -> str:
     return "".join(f"v {x} {int(f[x])}\n" for x in sorted(f))
 
-
-def parse_assignment(text: str) -> Assignment:
-    f: Assignment = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] != "v" or len(fields) != 3 or fields[2] not in ("0", "1"):
-            raise GraphFormatError(f"line {lineno}: expected 'v <var> <0|1>'")
-        try:
-            x = int(fields[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer variable") from None
-        if x in f:
-            raise GraphFormatError(f"line {lineno}: duplicate variable {x}")
-        f[x] = fields[2] == "1"
-    return f

@@ -45,16 +45,9 @@ class RemovalTrace:
     steps: tuple[int, ...]
 
 
-def is_removable(g: Graph, u: int) -> bool:
+def _removable(g: Graph, u: int) -> bool:
     """True when u has degree two, its neighbours are adjacent degree-3
     vertices, and u is their only common neighbour."""
-    _require_deg3(g)
-    if not 0 <= u < g.n:
-        raise ValueError(f"vertex {u} out of range")
-    return _removable(g, u)
-
-
-def _removable(g: Graph, u: int) -> bool:
     adj = g.adj
     if len(adj[u]) != 2:
         return False

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from mixedqt.graphs import (
     has_triangle,
     undirected_square,
 )
-from mixedqt.reduction import parse_assignment
+from mixedqt.reduction import parse_reduction_map
 from mixedqt.solver import verify_witness
 
 from helpers import complete_graph, cycle_graph, net_graph, prism_graph
@@ -289,7 +290,7 @@ class TestReducePipeline:
         assert run(["decide", str(gfile), "--witness", str(wfile)]) == 0
         capsys.readouterr()
         assert run(["extract", str(mapfile), str(wfile)]) == 0
-        f = parse_assignment(capsys.readouterr().out)
+        f = {int(x): v == "1" for _, x, v in map(str.split, capsys.readouterr().out.splitlines())}
         assert set(f) == {1, 2, 3}
         assert len(set(f.values())) == 2  # not-all-equal on the single clause
 
@@ -369,53 +370,102 @@ class TestGadget:
         assert g.n == 9 and len(g.edges) == 13
 
 
-def _check_output(kind, text: str) -> None:
-    """DOT, a graph file, a mixed-graph file, an assignment, or (a set of
-    keys) one JSON object with exactly those keys."""
+def _check_output(kind: str, text: str) -> None:
+    """DOT, a graph file, a mixed-graph file, a reduction map or an assignment."""
     if kind == "dot":
         assert text.startswith(("graph", "digraph"))
     elif kind == "graph":
         parse_graph(text)
     elif kind == "mixed":
         parse_mixed(text)
-    elif kind == "assignment":
-        assert parse_assignment(text)
+    elif kind == "map":
+        parse_reduction_map(text)
     else:
-        assert set(json.loads(text)) == kind
+        assert text and all(re.fullmatch(r"v \d+ [01]", line) for line in text.splitlines())
 
 
-@pytest.mark.parametrize("argv,files,stdout", [
-    ("decide {fx}/k4.graph --dot {tmp}/w.dot", {"w.dot": "dot"}, None),
-    ("verify {fx}/k4.graph {tmp}/k4.mixed --json", {}, {"ok", "problems"}),
-    ("square {tmp}/k4.mixed --json", {}, {"vertices", "edges", "output"}),
-    ("square {tmp}/k4.mixed --mixed-output -o {tmp}/sq.mixed --dot {tmp}/sq.dot --json",
-     {"sq.mixed": "mixed", "sq.dot": "dot"}, {"vertices", "edges", "arcs", "output"}),
-    ("embed {fx}/c5.graph --dot {tmp}/e.dot --json", {"e.dot": "dot"},
-     {"vertices", "edges", "root_vertices", "output", "root"}),
-    ("embed {fx}/c5.graph", {}, "graph"),
-    ("reduce {fx}/one_clause.cnf --dot {tmp}/r.dot", {"r.dot": "dot"}, "graph"),
-    ("reduce {fx}/one_clause.cnf -o {tmp}/r.graph --map {tmp}/r.map --json",
-     {"r.graph": "graph"}, {"variables", "clauses", "vertices", "edges", "output", "map"}),
-    ("extract {tmp}/oc.map {tmp}/oc.mixed -o {tmp}/a.txt", {"a.txt": "assignment"}, None),
-    ("extract {tmp}/oc.map {tmp}/oc.mixed --json", {}, {"1", "2", "3"}),
-    ("gadget --dot {tmp}/g.dot --json", {"g.dot": "dot"},
-     {"vertices", "edges", "literals", "pendants"}),
-], ids=["decide-dot", "verify-json", "square-json", "square-mixed-files",
-        "embed-dot-json", "embed-stdout", "reduce-dot-stdout", "reduce-json",
-        "extract-file", "extract-json", "gadget-dot-json"])
-def test_command_outputs(tmp_path, capsys, argv, files, stdout):
+EMBED_C5 = ("p graph 10 18\ne 0 1\ne 0 4\ne 0 5\ne 0 6\ne 1 2\ne 1 5\ne 1 7\ne 2 3\ne 2 7\n"
+            "e 2 8\ne 3 4\ne 3 8\ne 3 9\ne 4 6\ne 4 9\ne 5 7\ne 7 8\ne 8 9\n")
+REDUCE_ONE_CLAUSE = (
+    "p graph 18 22\ne 0 1\ne 1 2\ne 2 3\ne 2 12\ne 4 5\ne 5 6\ne 6 7\ne 6 13\ne 6 14\n"
+    "e 6 16\ne 6 17\ne 8 9\ne 9 10\ne 10 11\ne 10 15\ne 12 13\ne 12 16\ne 13 14\n"
+    "e 13 16\ne 14 15\ne 14 16\ne 15 16\n")
+
+
+def _write_inputs(tmp_path: Path) -> None:
+    """k4.mixed, a K4 witness, and oc.graph, oc.map and oc.mixed, the
+    one-clause reduction with its map and a witness."""
     assert run(["decide", fx("k4.graph"), "--witness", str(tmp_path / "k4.mixed")]) == 0
     assert run(["reduce", fx("one_clause.cnf"), "-o", str(tmp_path / "oc.graph"),
                 "--map", str(tmp_path / "oc.map")]) == 0
     assert run(["decide", str(tmp_path / "oc.graph"),
                 "--witness", str(tmp_path / "oc.mixed")]) == 0
+
+
+@pytest.mark.parametrize("argv,code,files,stdout", [
+    ("decide {fx}/k4.graph --dot {tmp}/w.dot", 0, {"w.dot": "dot"}, "YES\n"),
+    ("decide {fx}/c5.graph --json", 1, {},
+     '{"answer": "NO", "method": "girth4", "witness": null}\n'),
+    ("decide {fx}/k5.graph --node-limit 1 --witness {tmp}/b.mixed --json", 3, {},
+     '{"answer": "BUDGET-EXCEEDED", "method": "exact", "witness": null}\n'),
+    ("verify {fx}/k4.graph {tmp}/k4.mixed --json", 0, {}, '{"ok": true, "problems": []}\n'),
+    ("square {tmp}/k4.mixed --json", 0, {}, '{"vertices": 4, "edges": 6, "output": null}\n'),
+    ("square {tmp}/k4.mixed -o {tmp}/sq.graph", 0, {"sq.graph": "graph"}, ""),
+    ("square {tmp}/k4.mixed --mixed-output -o {tmp}/sq.mixed --dot {tmp}/sq.dot --json", 0,
+     {"sq.mixed": "mixed", "sq.dot": "dot"},
+     '{"vertices": 4, "edges": 2, "arcs": 4, "output": "{tmp}/sq.mixed"}\n'),
+    ("embed {fx}/c5.graph --dot {tmp}/e.dot --json", 0, {"e.dot": "dot"},
+     '{"vertices": 10, "edges": 18, "root_vertices": 10, "output": null, "root": null}\n'),
+    ("embed {fx}/c5.graph", 0, {}, EMBED_C5),
+    ("embed {fx}/c5.graph -o {tmp}/e.graph --root {tmp}/e.mixed", 0,
+     {"e.graph": "graph", "e.mixed": "mixed"}, ""),
+    ("reduce {fx}/one_clause.cnf --dot {tmp}/r.dot", 0, {"r.dot": "dot"}, REDUCE_ONE_CLAUSE),
+    ("reduce {fx}/one_clause.cnf -o {tmp}/r.graph --map {tmp}/r.map --json", 0,
+     {"r.graph": "graph", "r.map": "map"},
+     '{"variables": 3, "clauses": 1, "vertices": 18, "edges": 22, '
+     '"output": "{tmp}/r.graph", "map": "{tmp}/r.map"}\n'),
+    ("reduce {fx}/one_clause.cnf -o {tmp}/r.graph --map {tmp}/r.map --dot {tmp}/r.dot", 0,
+     {"r.graph": "graph", "r.map": "map", "r.dot": "dot"}, ""),
+    ("extract {tmp}/oc.map {tmp}/oc.mixed -o {tmp}/a.txt", 0, {"a.txt": "assignment"}, ""),
+    ("extract {tmp}/oc.map {tmp}/oc.mixed", 0, {}, "v 1 1\nv 2 1\nv 3 0\n"),
+    ("extract {tmp}/oc.map {tmp}/oc.mixed --json", 0, {}, '{"1": 1, "2": 1, "3": 0}\n'),
+    ("gadget --dot {tmp}/g.dot --json", 0, {"g.dot": "dot"},
+     '{"vertices": 9, "edges": 13, "literals": [0, 7, 5], "pendants": [1, 8, 4]}\n'),
+], ids=["decide-dot", "decide-no-json", "decide-budget-json", "verify-json", "square-json",
+        "square-file", "square-mixed-files", "embed-dot-json", "embed-stdout", "embed-files",
+        "reduce-dot-stdout", "reduce-json", "reduce-files", "extract-file", "extract-stdout",
+        "extract-json", "gadget-dot-json"])
+def test_command_outputs(tmp_path, capsys, argv, code, files, stdout):
+    # exact stdout, JSON key order included, and exactly the files asked for
+    _write_inputs(tmp_path)
+    before = {p.name for p in tmp_path.iterdir()}
     capsys.readouterr()
-    assert run([a.format(fx=FIXTURES, tmp=tmp_path) for a in argv.split()]) == 0
+    argv = [a.format(fx=FIXTURES, tmp=tmp_path) for a in argv.split()]
+    assert run(argv) == code
     out = capsys.readouterr().out
+    assert out == stdout.replace("{tmp}", str(tmp_path))
+    if "-o" in argv and "--json" not in argv:
+        assert out == ""
+    assert {p.name for p in tmp_path.iterdir()} - before == set(files)
     for name, kind in files.items():
         _check_output(kind, (tmp_path / name).read_text())
-    if stdout is not None:
-        _check_output(stdout, out)
+
+
+@pytest.mark.parametrize("argv", [
+    "decide {fx}/k4.graph --witness {tmp}/nodir/w.mixed",
+    "square {tmp}/k4.mixed -o {tmp}/nodir/sq.graph --json",
+    "embed {fx}/c5.graph -o {tmp}/nodir/e.graph",
+    "reduce {fx}/one_clause.cnf -o {tmp}/nodir/r.graph",
+    "extract {tmp}/oc.map {tmp}/oc.mixed -o {tmp}/nodir/a.txt --json",
+], ids=["decide", "square", "embed", "reduce", "extract"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
+    # a file that cannot be written is an OSError: exit 2, one error line
+    _write_inputs(tmp_path)
+    capsys.readouterr()
+    assert run([a.format(fx=FIXTURES, tmp=tmp_path) for a in argv.split()]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: [Errno 2] No such file or directory: ") and "nodir" in err
 
 
 def test_extract_rejects_malformed_map(tmp_path, capsys):

@@ -42,6 +42,8 @@ class TestExhaustiveGeneration:
         for g in connected_graphs(6):
             counts[g.n] = counts.get(g.n, 0) + 1
         assert [counts[n] for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+        # up to max_n vertices: nothing below one vertex
+        assert list(connected_graphs(0)) == list(connected_graphs(-1)) == []
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_degree_bounded_counts_match_labelled_oracle(self, n):

@@ -18,7 +18,6 @@ from mixedqt.structure import (
     decide_girth4,
     embed_universal,
     find_net,
-    is_removable,
     orient_deg3,
     reduce_removable,
     removable_vertices,
@@ -43,18 +42,18 @@ def petersen_graph():
 
 class TestRemovable:
     def test_house_apex_removable(self):
-        assert is_removable(house_graph(), 0)
+        assert removable_vertices(house_graph()) == (0,)
 
     def test_k4_minus_edge_degree_two_not_removable(self):
         g = Graph(4, frozenset({(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}))
-        assert not is_removable(g, 0) and not is_removable(g, 3)
+        assert removable_vertices(g) == ()
 
     def test_degree_three_not_removable(self):
-        assert not any(is_removable(prism_graph(), v) for v in range(6))
+        assert removable_vertices(prism_graph()) == ()
 
     def test_degree_bound_enforced(self):
         with pytest.raises(ValueError):
-            is_removable(complete_graph(5), 0)
+            removable_vertices(complete_graph(5))
 
     def test_reduce_house(self):
         reduced, trace = reduce_removable(house_graph())
@@ -83,7 +82,7 @@ class TestRemovable:
                 current, ids = g, list(range(g.n))
                 for orig in order:
                     local = ids.index(orig)
-                    assert is_removable(current, local)
+                    assert local in removable_vertices(current)
                     current, kept = delete_vertices(current, {local})
                     ids = [ids[i] for i in kept]
                 assert current == reduced
