@@ -19,7 +19,7 @@ import time
 from collections import Counter
 
 from mixedqt.generate import connected_graphs
-from mixedqt.graphs import girth, has_triangle
+from mixedqt.graphs import girth, triangle_free_edges
 from mixedqt.solver import ENUMERATION_EDGE_CAP, decide_qt, enumerate_qt
 from mixedqt.structure import decide_deg3, decide_girth4, removable_vertices
 
@@ -49,11 +49,11 @@ def main() -> int:
         exact = decide_qt(g) is not None
         answers = {exact}
         if args.family != "all":
-            # auto picks between these two deciders, so in both families each
-            # checks the other wherever both apply
+            # the paper's two characterisations check the exact solver, and
+            # each other, wherever they apply
             if g.max_degree() <= 3:
                 answers.add(decide_deg3(g))
-            if not has_triangle(g):
+            if len(triangle_free_edges(g)) == len(g.edges):
                 answers.add(decide_girth4(g) is not None)
         if len(g.edges) <= ENUMERATION_EDGE_CAP:
             enumerated += 1

@@ -10,6 +10,9 @@ Subcommands::
     extract <map> <witness>   read an assignment off a reduction witness
     gadget                    inspect the clause gadget
 
+``decide --method auto`` (the default) is ``--method exact``; ``deg3`` and
+``girth4`` run the paper's two polynomial characterisations.
+
 Exit codes: 0 yes/success, 1 no/failed verification, 2 usage or format
 error, 3 search budget exceeded.
 """
@@ -31,7 +34,7 @@ from .formats import (
     serialize_graph,
     serialize_mixed,
 )
-from .graphs import has_triangle, mixed_square, undirected_square
+from .graphs import mixed_square, undirected_square
 from .reduction import (
     clause_gadget,
     gadget_signature_report,
@@ -134,14 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_decide(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
-    method = args.method
-    if method == "auto":
-        if not has_triangle(g):
-            method = "girth4"
-        elif g.max_degree() <= 3:
-            method = "deg3"
-        else:
-            method = "exact"
+    method = "exact" if args.method == "auto" else args.method
     opts = SolveOptions(node_limit=args.node_limit)
     witness = None
     try:

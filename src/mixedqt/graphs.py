@@ -66,11 +66,11 @@ class Graph:
 
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return tuple(map(frozenset, nbrs))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -184,13 +184,7 @@ def undirected_square(m: MixedGraph) -> Graph:
 def triangle_free_edges(g: Graph) -> frozenset[Edge]:
     """Edges whose endpoints have no common neighbour (in no triangle)."""
     adj = g.adj
-    return frozenset(e for e in g.edges if not (adj[e[0]] & adj[e[1]]))
-
-
-def has_triangle(g: Graph) -> bool:
-    """True iff some edge's endpoints have a common neighbour (girth three)."""
-    adj = g.adj
-    return any(adj[u] & adj[v] for u, v in g.edges)
+    return frozenset(e for e in g.edges if adj[e[0]].isdisjoint(adj[e[1]]))
 
 
 def _two_colour(vertices: Iterable[int], adj: Adjacency

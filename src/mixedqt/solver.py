@@ -50,7 +50,9 @@ pin variables, so what the solver learns under one pattern serves the next.
 The class bits are the model of a second CNF, one variable per class: each
 region that fails under a model adds a clause against the bits of the
 classes in its final conflict (lazy clause generation), until every region
-holds or that CNF has no model.
+holds or that CNF has no model.  A graph with no triangle skips all this: S
+covers every edge, and the answer is the 2-colouring of G, with each edge
+the arc from colour 0 to colour 1, or NO at an odd cycle.
 """
 
 from __future__ import annotations
@@ -337,9 +339,9 @@ class SolveOptions:
     :class:`BudgetExceeded`; None means unbounded, negative values are
     rejected.  A node is one region solve that is not answered from the
     memo, or one decision or one conflict of either clause-learning solver:
-    the one over the class bits or the one inside a region solve.  A NO
-    that needs no search (an odd cycle of edges between vertices on
-    triangle-free edges) is returned whatever the limit.
+    the one over the class bits or the one inside a region solve.  Answers
+    that need no search come whatever the limit: on a graph with no triangle,
+    and a NO at an odd cycle of edges between vertices on triangle-free edges.
     """
 
     node_limit: int | None = None
@@ -522,6 +524,17 @@ def _search_classes(solver: _ComponentSolver, constraints: list[_Shape]
     return None
 
 
+def _orient_bipartite(g: Graph) -> PartialOrientation | None:
+    """Each edge of g as the arc from colour 0 to colour 1 of the 2-colouring
+    that gives each component's smallest vertex colour 0, so every vertex is
+    a source or a sink; or None when g has an odd cycle."""
+    colour, _parent, clash = _two_colour(range(g.n), g.adj)
+    if clash is not None:
+        return None
+    arcs = frozenset((u, v) if colour[u] == 0 else (v, u) for u, v in g.edges)
+    return PartialOrientation(g, MixedGraph(g.n, frozenset(), arcs))
+
+
 def _regions(vertices: Iterable[int], adj: tuple[frozenset[int], ...],
              fixed: set[int]) -> list[frozenset[int]]:
     """The components of ``vertices`` minus ``fixed``, each joined to its
@@ -537,9 +550,12 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation 
     Raises :class:`BudgetExceeded` when a node limit is configured and hit,
     which is distinct from a NO answer.
     """
+    free = triangle_free_edges(g)
+    if len(free) == len(g.edges):
+        return _orient_bipartite(g)  # S covers every edge: no region to search
     opts = opts or SolveOptions()
     adj0 = g.adj
-    fixed = {v for e in triangle_free_edges(g) for v in e}
+    fixed = {v for e in free for v in e}
     regions = _regions(range(g.n), adj0, fixed)
     final = []
     # the pieces of a split region are appended, so this loop meets them too

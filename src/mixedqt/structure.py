@@ -15,16 +15,15 @@ from dataclasses import dataclass
 from .graphs import (
     Graph,
     MixedGraph,
-    _two_colour,
     delete_vertices,
     find_odd_cycle,
-    has_triangle,
     triangle_free_edges,
     undirected_square,
 )
 from .solver import (
     PartialOrientation,
     SolveOptions,
+    _orient_bipartite,
     decide_qt,
 )
 
@@ -132,12 +131,9 @@ def orient_deg3(g: Graph, opts: SolveOptions | None = None) -> PartialOrientatio
     """Construct a witness for a degree-three graph, or None when unorientable.
 
     The no answer comes from :func:`decide_deg3` and stays polynomial.  On a
-    yes answer the witness is the exact solver's orientation of g itself.
-    Triangle-free parts need no search there: every vertex on a
-    triangle-free edge is a source or a sink, so the solver orients those
-    edges from the 2-colouring and searches only the regions around
-    triangles.  The solver failing to find a witness the decider promised
-    would be a bug, not a no answer.
+    yes answer the witness is the exact solver's orientation of g itself,
+    which searches only the regions around triangles.  The solver failing to
+    find a witness the decider promised would be a bug, not a no answer.
     """
     if not decide_deg3(g):
         return None
@@ -151,18 +147,14 @@ def orient_deg3(g: Graph, opts: SolveOptions | None = None) -> PartialOrientatio
 def decide_girth4(g: Graph) -> PartialOrientation | None:
     """Decide orientability for triangle-free graphs (girth four or more).
 
-    A triangle-free graph is orientable exactly when it has no odd cycle; a
-    witness orients every edge away from the colour class of each
-    component's smallest vertex, making every vertex a source or a sink.
+    A triangle-free graph is orientable exactly when it has no odd cycle; the
+    witness is the 2-colouring orientation :func:`decide_qt` gives it too.
     """
-    colour, _parent, clash = _two_colour(range(g.n), g.adj)
-    if clash is not None:
-        # a bipartite graph has no triangle, so only a NO needs the check
-        if has_triangle(g):
-            raise ValueError("graph contains a triangle; girth must be at least four")
-        return None
-    arcs = frozenset((u, v) if colour[u] == 0 else (v, u) for u, v in g.edges)
-    return PartialOrientation(g, MixedGraph(g.n, frozenset(), arcs))
+    sol = _orient_bipartite(g)
+    # a bipartite graph has no triangle, so only a NO needs the check
+    if sol is None and len(triangle_free_edges(g)) < len(g.edges):
+        raise ValueError("graph contains a triangle; girth must be at least four")
+    return sol
 
 
 def embed_universal(g: Graph) -> tuple[Graph, MixedGraph]:

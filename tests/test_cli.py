@@ -12,7 +12,7 @@ from mixedqt.graphs import (
     Graph,
     MixedGraph,
     edge,
-    has_triangle,
+    triangle_free_edges,
     undirected_square,
 )
 from mixedqt.reduction import parse_reduction_map
@@ -116,27 +116,36 @@ class TestDecide:
     def test_removed_flags_are_usage_errors(self, flag):
         assert run(["decide", fx("c5.graph"), flag, "1"]) == 2
 
-    @pytest.mark.parametrize("text,answer,method", [
-        ("p graph 5 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 0\n", "NO", "girth4"),
-        (serialize_graph(complete_graph(5)), "YES", "exact"),
-        ("p graph 5 4\ne 0 1\ne 0 2\ne 0 3\ne 0 4\n", "YES", "girth4"),
-        ("p graph 7 7\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 0\ne 0 5\ne 0 6\n",
-         "NO", "girth4"),
-        ("p graph 7 6\ne 0 1\ne 0 2\ne 0 3\ne 1 4\ne 1 5\ne 2 6\n", "YES", "girth4"),
-        (serialize_graph(net_graph()), "NO", "deg3"),
-        (serialize_graph(prism_graph()), "NO", "deg3"),
+    @pytest.mark.parametrize("text,answer", [
+        ("p graph 5 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 0\n", "NO"),
+        (serialize_graph(complete_graph(5)), "YES"),
+        ("p graph 5 4\ne 0 1\ne 0 2\ne 0 3\ne 0 4\n", "YES"),
+        ("p graph 7 7\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 0\ne 0 5\ne 0 6\n", "NO"),
+        ("p graph 7 6\ne 0 1\ne 0 2\ne 0 3\ne 1 4\ne 1 5\ne 2 6\n", "YES"),
+        (serialize_graph(net_graph()), "NO"),
+        (serialize_graph(prism_graph()), "NO"),
     ], ids=["c5", "k5", "star4", "c5-pendants", "tree-deg3", "net", "prism"])
-    def test_json_output(self, tmp_path, capsys, text, answer, method):
+    def test_json_output(self, tmp_path, capsys, text, answer):
+        # the default method is the exact solver, whatever the graph
         path = tmp_path / "g.graph"
         path.write_text(text)
         assert run(["decide", str(path), "--json"]) == (0 if answer == "YES" else 1)
         payload = json.loads(capsys.readouterr().out)
-        assert (payload["answer"], payload["method"]) == (answer, method)
+        assert (payload["answer"], payload["method"]) == (answer, "exact")
+
+    @pytest.mark.parametrize("name", ["k4.graph", "house.graph"])
+    def test_node_limit_bounds_default_at_degree_three(self, capsys, name):
+        # a degree-3 graph with a triangle is searched under the default,
+        # so its node limit applies; the degree-3 decider spends no nodes
+        assert run(["decide", fx(name), "--node-limit", "0"]) == 3
+        assert capsys.readouterr().out == "BUDGET-EXCEEDED\n"
+        assert run(["decide", fx(name), "--node-limit", "0", "--method", "deg3"]) == 0
+        assert capsys.readouterr().out == "YES\n"
 
     def test_triangle_free_deg3_witnesses_match(self, tmp_path):
-        # auto sends every triangle-free graph to the 2-colouring; at maximum
-        # degree three the degree-3 decider answers too, and the two must
-        # write the same witness byte for byte
+        # the default answers every triangle-free graph by its 2-colouring;
+        # at maximum degree three the degree-3 decider answers too, and the
+        # two must write the same witness byte for byte
         rng = random.Random(12)
         corpus = [cycle_graph(k) for k in range(4, 10)]
         for _ in range(12):
@@ -151,7 +160,7 @@ class TestDecide:
             corpus.append(Graph(n, frozenset(tree)))
         while len(corpus) < 36:
             g = random_connected_graph(rng.randint(4, 24), 3, rng)
-            if not has_triangle(g):
+            if triangle_free_edges(g) == g.edges:
                 corpus.append(g)
         gfile = tmp_path / "g.graph"
         answers = set()
@@ -202,8 +211,7 @@ class TestDecide:
                 codes.add((method, verdict))
             capsys.readouterr()
             run(["decide", gfile, "--json"])
-            method = json.loads(capsys.readouterr().out)["method"]
-            assert method == ("deg3" if has_triangle(g) else "girth4"), gfile
+            assert json.loads(capsys.readouterr().out)["method"] == "exact", gfile
         # YES and NO under both methods, and the triangle guard of girth4
         assert codes == {("auto", 0), ("auto", 1), ("girth4", 0), ("girth4", 1),
                          ("girth4", 2)}
@@ -405,7 +413,7 @@ def _write_inputs(tmp_path: Path) -> None:
 @pytest.mark.parametrize("argv,code,files,stdout", [
     ("decide {fx}/k4.graph --dot {tmp}/w.dot", 0, {"w.dot": "dot"}, "YES\n"),
     ("decide {fx}/c5.graph --json", 1, {},
-     '{"answer": "NO", "method": "girth4", "witness": null}\n'),
+     '{"answer": "NO", "method": "exact", "witness": null}\n'),
     ("decide {fx}/k5.graph --node-limit 1 --witness {tmp}/b.mixed --json", 3, {},
      '{"answer": "BUDGET-EXCEEDED", "method": "exact", "witness": null}\n'),
     ("verify {fx}/k4.graph {tmp}/k4.mixed --json", 0, {}, '{"ok": true, "problems": []}\n'),

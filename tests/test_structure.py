@@ -1,12 +1,15 @@
 import itertools
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
-from mixedqt.graphs import Graph, MixedGraph, delete_vertices
+from mixedqt.formats import serialize_mixed
+from mixedqt.graphs import Graph, MixedGraph, delete_vertices, edge, triangle_free_edges
 from mixedqt.solver import (
+    SolveOptions,
     VertexStatus,
     decide_qt,
     enumerate_qt,
@@ -26,6 +29,8 @@ from mixedqt.generate import random_connected_graph
 
 from conftest import graphs
 from helpers import complete_graph, cycle_graph, net_graph, path_graph, prism_graph
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def house_graph():
@@ -247,6 +252,35 @@ class TestDecideGirth4:
             assert (w is not None) == expected
             if w is not None:
                 assert verify_witness(g, w.mixed).ok
+
+    def test_exact_solver_matches_without_search(self, rng, monkeypatch):
+        # decide_qt answers a graph with no triangle by the same 2-colouring:
+        # the same NO and the same witness byte for byte, with no node spent;
+        # the corpus starts with the benchmark's seed-1 poly-classes graphs
+        monkeypatch.syspath_prepend(str(BENCH))
+        import ladders
+
+        corpus = {r.graph for r in ladders.poly_classes(1)
+                  if triangle_free_edges(r.graph) == r.graph.edges}
+        assert len(corpus) == 36
+        corpus |= {Graph(0), Graph(1), Graph(7), petersen_graph()}
+        corpus |= {cycle_graph(k) for k in range(4, 12)}
+        for _ in range(40):
+            a, b = rng.randint(1, 30), rng.randint(1, 30)
+            p = rng.choice((0.1, 0.3, 0.7))
+            edges = {(u, a + v) for u in range(a) for v in range(b) if rng.random() < p}
+            order = list(range(a + b))
+            rng.shuffle(order)   # so the two sides are not two blocks of ids
+            corpus.add(Graph(a + b, frozenset(edge(order[u], order[v]) for u, v in edges)))
+        answers = set()
+        for g in corpus:
+            w, x = decide_girth4(g), decide_qt(g, SolveOptions(node_limit=0))
+            assert (w is None) == (x is None), sorted(g.edges)
+            if w is not None:
+                assert serialize_mixed(x.mixed) == serialize_mixed(w.mixed), sorted(g.edges)
+            answers.add(w is None)
+        assert answers == {False, True}
+        assert max(g.max_degree() for g in corpus) >= 20
 
 
 class TestEmbedUniversal:
