@@ -187,47 +187,49 @@ def triangle_free_edges(g: Graph) -> frozenset[Edge]:
     return frozenset(e for e in g.edges if adj[e[0]].isdisjoint(adj[e[1]]))
 
 
-def _two_colour(vertices: Iterable[int], adj: Adjacency
-                ) -> tuple[dict[int, int], dict[int, int | None], tuple[int, int] | None]:
-    """Breadth-first 2-colouring of the graph ``adj`` gives on ``vertices``,
+def _two_colour(vertices: Sequence[int], adj: Sequence[AbstractSet[int]]
+                ) -> tuple[list[int], list[int | None], list[int], tuple[int, int] | None]:
+    """Breadth-first 2-colouring of the graph ``adj`` induces on ``vertices``,
     rooting each component at its first vertex in the order of ``vertices``.
 
-    Every neighbour listed in ``adj`` must itself be one of ``vertices``.
-    Returns the colours, the BFS parents in the order the vertices were
-    reached (each root, with parent None, before the rest of its tree) and
-    the first edge found with both ends the same colour (None when the graph
-    is bipartite); the search stops at that edge.  Neighbours are met in set
-    order: on a bipartite graph no colour depends on it, only which clash,
-    and so which odd cycle, is found on one that is not.
+    ``adj`` is indexed by vertex.  Returns lists indexed by vertex of the
+    colours (2 outside ``vertices``, -1 where unreached) and the BFS parents
+    (None at a root); the vertices in the order reached, each root before
+    the rest of its tree; and the first edge found with both ends the same
+    colour (None when the graph is bipartite), where the search stops.
+    Neighbours are met in set order: on a bipartite graph no colour depends
+    on it, only which clash, and so which odd cycle, is found on one that is not.
     """
-    colour: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
+    colour = [2] * len(adj)  # 2 outside ``vertices``: never reached, never a clash
+    for v in vertices:
+        colour[v] = -1
+    parent: list[int | None] = [None] * len(adj)
+    order: list[int] = []
     for root in vertices:
-        if root in colour:
-            continue
-        colour[root] = 0
-        parent[root] = None
-        queue = [root]
-        for v in queue:  # the list grows as the search reaches new vertices
-            c = colour[v]
-            for w in adj[v]:
-                cw = colour.get(w)
-                if cw is None:
-                    colour[w] = c ^ 1
-                    parent[w] = v
-                    queue.append(w)
-                elif cw == c:
-                    return colour, parent, (v, w)
-    return colour, parent, None
+        if colour[root] < 0:  # not reached from an earlier root
+            colour[root] = 0
+            queue = [root]
+            for v in queue:  # the list grows as the search reaches new vertices
+                c = colour[v]
+                for w in adj[v]:
+                    cw = colour[w]
+                    if cw < 0:
+                        colour[w] = c ^ 1
+                        parent[w] = v
+                        queue.append(w)
+                    elif cw == c:
+                        return colour, parent, order + queue, (v, w)
+            order += queue
+    return colour, parent, order, None
 
 
 def find_odd_cycle(g: Graph) -> tuple[int, ...] | None:
     """An odd cycle as a vertex sequence, or None when the graph is bipartite."""
-    _colour, parent, clash = _two_colour(range(g.n), g.adj)
+    _colour, parent, _order, clash = _two_colour(range(g.n), g.adj)
     return None if clash is None else _tree_cycle(parent, *clash)
 
 
-def _tree_cycle(parent: dict[int, int | None], x: int, y: int) -> tuple[int, ...]:
+def _tree_cycle(parent: list[int | None], x: int, y: int) -> tuple[int, ...]:
     """Close the tree paths of x and y into a cycle through their meeting point."""
     px = [x]
     while parent[px[-1]] is not None:

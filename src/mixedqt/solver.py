@@ -50,9 +50,9 @@ pin variables, so what the solver learns under one pattern serves the next.
 The class bits are the model of a second CNF, one variable per class: each
 region that fails under a model adds a clause against the bits of the
 classes in its final conflict (lazy clause generation), until every region
-holds or that CNF has no model.  A graph with no triangle skips all this: S
-covers every edge, and the answer is the 2-colouring of G, with each edge
-the arc from colour 0 to colour 1, or NO at an odd cycle.
+holds or that CNF has no model.  A 2-colouring of G comes first: a bipartite
+graph has no triangle, and each edge becomes the arc from colour 0 to colour
+1; an odd cycle in a graph with no triangle is a NO before any search.
 """
 
 from __future__ import annotations
@@ -455,8 +455,8 @@ class _ComponentSolver:
     its pin literals.
     """
 
-    def __init__(self, adj: tuple[frozenset[int], ...], class_id: dict[int, int],
-                 parity: dict[int, int], budget: _Budget):
+    def __init__(self, adj: tuple[frozenset[int], ...], class_id: list[int],
+                 parity: list[int], budget: _Budget):
         self.adj = adj
         self.class_id = class_id
         self.parity = parity
@@ -528,7 +528,7 @@ def _orient_bipartite(g: Graph) -> PartialOrientation | None:
     """Each edge of g as the arc from colour 0 to colour 1 of the 2-colouring
     that gives each component's smallest vertex colour 0, so every vertex is
     a source or a sink; or None when g has an odd cycle."""
-    colour, _parent, clash = _two_colour(range(g.n), g.adj)
+    colour, _parent, _order, clash = _two_colour(range(g.n), g.adj)
     if clash is not None:
         return None
     arcs = frozenset((u, v) if colour[u] == 0 else (v, u) for u, v in g.edges)
@@ -546,13 +546,15 @@ def _regions(vertices: Iterable[int], adj: tuple[frozenset[int], ...],
 def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation | None:
     """A quasi-transitive partial orientation of g, or None when none exists.
 
-    Deterministic: identical inputs and options produce identical witnesses.
-    Raises :class:`BudgetExceeded` when a node limit is configured and hit,
-    which is distinct from a NO answer.
+    A 2-colouring comes first: it answers a bipartite graph, and a graph
+    with an odd cycle but no triangle is a NO.  Deterministic: identical
+    inputs and options produce identical witnesses.  Raises :class:`BudgetExceeded`
+    when a node limit is configured and hit, which is distinct from a NO answer.
     """
-    free = triangle_free_edges(g)
+    sol = _orient_bipartite(g)  # a bipartite graph has no triangle
+    free = g.edges if sol is not None else triangle_free_edges(g)
     if len(free) == len(g.edges):
-        return _orient_bipartite(g)  # S covers every edge: no region to search
+        return sol  # S covers every edge: no region to search
     opts = opts or SolveOptions()
     adj0 = g.adj
     fixed = {v for e in free for v in e}
@@ -568,16 +570,15 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation 
             regions.extend(_regions(region, adj0, fixed))
         else:
             final.append(region)
-    # the graph the fixed vertices induce, keyed in increasing order
-    fixed_adj = {v: adj0[v] & fixed for v in sorted(fixed)}
-    parity, parent, clash = _two_colour(fixed_adj, fixed_adj)
+    # the graph the fixed vertices induce, rooted in increasing order
+    parity, parent, reached, clash = _two_colour(sorted(fixed), adj0)
     if clash is not None:
         return None  # adjacent fixed vertices alternate, which an odd cycle forbids
     # the BFS meets each tree's root, the smallest vertex of its piece, first
     # and every parent before its children, so one pass names each class
-    class_id: dict[int, int] = {}
-    for v, p in parent.items():
-        class_id[v] = v if p is None else class_id[p]
+    class_id = [0] * g.n
+    for v in reached:
+        class_id[v] = v if parent[v] is None else class_id[parent[v]]
     solver = _ComponentSolver(adj0, class_id, parity, _Budget(opts.node_limit))
     constraints = [solver.shape(region, fixed) for region in final]
     bits = _search_classes(solver, constraints)
@@ -592,10 +593,10 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation 
         arcs.update((order[u], order[v]) for u, v in sub_arcs)
     # an edge between two fixed vertices runs from the source to the sink,
     # whatever a region made of it: that arc lies on no 2-dipath
-    for u, nbrs in fixed_adj.items():
+    for u in reached:
         source = parity[u] == bits.get(class_id[u], 0)
-        for v in nbrs:
-            if u < v:
+        for v in adj0[u]:
+            if u < v and v in fixed:
                 kept.discard((u, v))
                 arcs.add((u, v) if source else (v, u))
     return PartialOrientation(g, MixedGraph(g.n, frozenset(kept), frozenset(arcs)))

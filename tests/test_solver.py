@@ -394,6 +394,17 @@ class TestDecideQt:
         # the triangle-free C5 settles the whole graph before K6 is searched
         assert decide_qt(g, SolveOptions(node_limit=1)) is None
 
+    def test_triangle_far_from_the_first_root_keeps_its_witness(self):
+        # the 2-colouring from vertex 0 walks the whole path before it meets
+        # the triangle at its far end, the graph's only odd cycle; the
+        # witness is the region search's, and the failed colouring tried
+        # first must leave no trace in it
+        g = Graph(2000, frozenset((i, i + 1) for i in range(1999)) | {(1997, 1999)})
+        w = decide_qt(g)
+        assert w is not None and verify_witness(g, w.mixed).ok
+        assert hashlib.sha256(serialize_mixed(w.mixed).encode()).hexdigest() == (
+            "5155f00c4978532b741d79adfc83db4dc8982f654e8c34a785b83fb829605a08")
+
     @pytest.mark.parametrize("make, answer, nodes", [
         (lambda: build_reduction(fixture_formula("fano.cnf"))[0], False, 96),
         (lambda: build_reduction(COMPLETE_5)[0], False, 70),

@@ -265,6 +265,7 @@ class TestDecideGirth4:
         assert len(corpus) == 36
         corpus |= {Graph(0), Graph(1), Graph(7), petersen_graph()}
         corpus |= {cycle_graph(k) for k in range(4, 12)}
+        corpus |= {ladders.grid(r, c, wrap=True) for r, c in ((1, 5), (4, 7), (9, 9))}
         for _ in range(40):
             a, b = rng.randint(1, 30), rng.randint(1, 30)
             p = rng.choice((0.1, 0.3, 0.7))
