@@ -84,10 +84,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="decide orientability of a graph")
     p.add_argument("graph")
-    p.add_argument("--method", choices=["auto", "exact", "deg3", "girth4"], default="auto")
+    p.add_argument("--method", choices=["auto", "exact", "deg3", "girth4"], default="auto",
+                   help="auto (the default) runs the exact solver; deg3 and girth4 run "
+                        "the paper's two characterisations, for graphs of maximum "
+                        "degree three and for triangle-free graphs")
     p.add_argument("--witness", metavar="FILE", help="write a witness when the answer is yes")
     p.add_argument("--dot", metavar="FILE", help="write the witness in DOT format")
-    p.add_argument("--node-limit", type=int, default=None, metavar="N")
+    p.add_argument("--node-limit", type=int, default=None, metavar="N",
+                   help="stop the search after N nodes with the verdict "
+                        "BUDGET-EXCEEDED and exit code 3 (default: no limit)")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="verify a witness against a graph")

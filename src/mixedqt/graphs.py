@@ -12,12 +12,10 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 Edge = tuple[int, int]
 Arc = tuple[int, int]
-# each vertex's neighbours, by vertex: a dict, or a tuple indexed by vertex
-Adjacency = Mapping[int, AbstractSet[int]] | Sequence[AbstractSet[int]]
 
 
 def edge(u: int, v: int) -> Edge:
@@ -274,52 +272,51 @@ def girth(g: Graph) -> int | float:
     return best
 
 
-def _articulation_points(vertices: Iterable[int], adj: Adjacency) -> set[int]:
-    """Articulation points of the graph ``adj`` gives on ``vertices``, whose
-    neighbours must all be among ``vertices``."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
+def _articulation_points(k: int, edges: Iterable[Edge]) -> set[int]:
+    """Articulation points of the graph on vertices 0..k-1 with these edges,
+    found by one iterative depth-first search per component."""
+    adj: list[list[int]] = [[] for _ in range(k)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    disc = [-1] * k
+    low = [0] * k
     points: set[int] = set()
     timer = 0
-    for root in vertices:
-        if root in disc:
+    for root in range(k):
+        if disc[root] >= 0:
             continue
-        parent[root] = None
         disc[root] = low[root] = timer
         timer += 1
         root_children = 0
-        stack = [(root, iter(adj[root]))]
+        stack = [(root, -1, iter(adj[root]))]   # a vertex, its parent, its neighbours left
         while stack:
-            v, it = stack[-1]
-            advanced = False
+            v, parent, it = stack[-1]
             for w in it:
-                if w not in disc:
-                    parent[w] = v
+                if disc[w] < 0:
                     if v == root:
                         root_children += 1
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
+                    stack.append((w, v, iter(adj[w])))
                     break
-                elif w != parent[v]:
+                if w != parent:
                     low[v] = min(low[v], disc[w])
-            if not advanced:
+            else:   # every neighbour seen: v is done
                 stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if u != root and low[v] >= disc[u]:
-                        points.add(u)
+                if parent >= 0:
+                    low[parent] = min(low[parent], low[v])
+                    if parent != root and low[v] >= disc[parent]:
+                        points.add(parent)
         if root_children >= 2:
             points.add(root)
     return points
 
 
-def _components_of(vertices: Iterable[int], adj: Adjacency) -> list[frozenset[int]]:
+def _components_of(vertices: Iterable[int], adj: Sequence[AbstractSet[int]]
+                   ) -> list[frozenset[int]]:
     """Connected components of the subgraph induced on ``vertices``, sorted
-    by smallest member; ``adj`` maps each vertex to its neighbours."""
+    by smallest member; ``adj`` is indexed by vertex."""
     left = set(vertices)
     comps = []
     for root in sorted(left):

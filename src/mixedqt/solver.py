@@ -37,14 +37,17 @@ argument holds inside a region under fixed polarities as well.
 
 :func:`decide_qt` starts with S = the vertices on triangle-free edges and a
 worklist of regions: the components of G - S, each with its neighbours in S.
-A region with more than ``FLAT_CUTOFF`` edges is split at all of its cut
-vertices: they join S, and the components of the region - S, each with its
-neighbours in S, take its place on the worklist.  A region with no cut
-vertex is final.  Adjacent vertices of S alternate, so each connected piece
+Each region is relabelled once, its sorted vertices mapped to 0..k-1, and
+everything after reads that local graph.  A region with more than
+``FLAT_CUTOFF`` edges is split at all of its cut vertices, found in the
+local graph: they join S, and the components of the region - S, each with
+its neighbours in S, go onto the end of the worklist, to be relabelled and
+tested in turn.  A region with no cut vertex is final, and its local graph
+is its shape.  Adjacent vertices of S alternate, so each connected piece
 of the graph S induces is a polarity class decided by one bit, and an odd
 cycle there is a NO before any search.  Each final region is a constraint
-over the classes it touches, decided lazily and memoised per region shape
-(the region relabelled in vertex order).  Each shape is encoded once per
+over the classes its fixed vertices belong to, decided lazily and memoised
+per shape and pinned local vertices.  Each shape is encoded once per
 call, and each pattern of its class bits is solved as assumptions on its
 pin variables, so what the solver learns under one pattern serves the next.
 The class bits are the model of a second CNF, one variable per class: each
@@ -443,38 +446,21 @@ _Shape = tuple[list[int], frozenset[Edge], tuple[tuple[int, int, int], ...]]
 class _ComponentSolver:
     """The memoised region solves of one :func:`decide_qt` call.
 
-    Each connected piece of the graph the fixed vertices induce is a
-    polarity class.  ``class_id`` and ``parity`` give each fixed vertex its
-    class and its colour in the 2-colouring of that graph; a class id is the
-    smallest vertex of its piece.  A final region is solved once for each
-    pattern of bits on the classes it touches, and the result is shared by
-    every region of the same shape: the region relabelled in vertex order,
-    its sorted vertices mapped to 0..k-1, with its edges and its fixed
-    vertices under that map.
-    Each shape is encoded once, and each pattern is solved as assumptions on
-    its pin literals.
+    A final region comes as its sorted vertices, its shape (its edges
+    relabelled by position in that order) and, for each of its fixed
+    vertices, a pin: the local index, the class (the smallest vertex of its
+    connected piece of the graph the fixed vertices induce) and the parity
+    (its colour in the 2-colouring of that graph).  A region is solved once
+    for each pattern of bits on the classes it touches, and the result is
+    shared by every region with the same shape and pinned local indices.
+    Each shape is encoded once per set of pinned indices, and each pattern
+    is solved as assumptions on its pin literals.
     """
 
-    def __init__(self, adj: tuple[frozenset[int], ...], class_id: list[int],
-                 parity: list[int], budget: _Budget):
-        self.adj = adj
-        self.class_id = class_id
-        self.parity = parity
+    def __init__(self, budget: _Budget):
         self.budget = budget
         self.memo: dict = {}
         self.engines: dict = {}
-
-    def shape(self, region: frozenset[int], fixed: set[int]) -> _Shape:
-        """The region relabelled in vertex order: its sorted vertices, its
-        edges under the map to 0..k-1, and the local index, class and parity
-        of each of its fixed vertices."""
-        order = sorted(region)
-        index = {v: i for i, v in enumerate(order)}
-        adj, class_id, parity = self.adj, self.class_id, self.parity
-        edges = frozenset((i, index[w]) for i, v in enumerate(order)
-                          for w in adj[v] if w > v and w in index)
-        pins = tuple((i, class_id[v], parity[v]) for i, v in enumerate(order) if v in fixed)
-        return order, edges, pins
 
     def solve(self, shape: _Shape, bits: dict[int, int]):
         """Kept edges and arcs orienting a region's shape, in its local
@@ -556,22 +542,25 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation 
     if len(free) == len(g.edges):
         return sol  # S covers every edge: no region to search
     opts = opts or SolveOptions()
-    adj0 = g.adj
+    adj = g.adj
     fixed = {v for e in free for v in e}
-    regions = _regions(range(g.n), adj0, fixed)
+    regions = _regions(range(g.n), adj, fixed)
     final = []
-    # the pieces of a split region are appended, so this loop meets them too
+    # each region relabelled once, by position in its sorted vertices; the
+    # pieces of a split region are appended, so this loop meets them too
     for region in regions:
-        adj = {v: adj0[v] & region for v in region}
-        cut = (_articulation_points(region, adj)
-               if sum(map(len, adj.values())) > 2 * FLAT_CUTOFF else None)
+        order = sorted(region)
+        index = {v: i for i, v in enumerate(order)}
+        edges = frozenset((i, index[w]) for i, v in enumerate(order)
+                          for w in adj[v] if w > v and w in index)
+        cut = _articulation_points(len(order), edges) if len(edges) > FLAT_CUTOFF else None
         if cut:
-            fixed |= cut
-            regions.extend(_regions(region, adj0, fixed))
+            fixed.update(order[i] for i in cut)
+            regions.extend(_regions(region, adj, fixed))
         else:
-            final.append(region)
+            final.append((order, edges))
     # the graph the fixed vertices induce, rooted in increasing order
-    parity, parent, reached, clash = _two_colour(sorted(fixed), adj0)
+    parity, parent, reached, clash = _two_colour(sorted(fixed), adj)
     if clash is not None:
         return None  # adjacent fixed vertices alternate, which an odd cycle forbids
     # the BFS meets each tree's root, the smallest vertex of its piece, first
@@ -579,8 +568,10 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation 
     class_id = [0] * g.n
     for v in reached:
         class_id[v] = v if parent[v] is None else class_id[parent[v]]
-    solver = _ComponentSolver(adj0, class_id, parity, _Budget(opts.node_limit))
-    constraints = [solver.shape(region, fixed) for region in final]
+    solver = _ComponentSolver(_Budget(opts.node_limit))
+    constraints = [(order, edges, tuple((i, class_id[v], parity[v])
+                                        for i, v in enumerate(order) if v in fixed))
+                   for order, edges in final]
     bits = _search_classes(solver, constraints)
     if bits is None:
         return None
@@ -595,7 +586,7 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation 
     # whatever a region made of it: that arc lies on no 2-dipath
     for u in reached:
         source = parity[u] == bits.get(class_id[u], 0)
-        for v in adj0[u]:
+        for v in adj[u]:
             if u < v and v in fixed:
                 kept.discard((u, v))
                 arcs.add((u, v) if source else (v, u))

@@ -108,6 +108,13 @@ class TestDecide:
         assert capsys.readouterr().out.strip() == "YES"
         assert _build_parser() is _build_parser()
 
+    def test_help_says_what_the_options_do(self, capsys):
+        assert run(["decide", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "auto (the default) runs the exact solver" in text
+        assert "deg3 and girth4 run the paper's two characterisations" in text
+        assert "exit code 3" in text
+
     @pytest.mark.parametrize("name", ["c5.graph", "k5.graph"])
     def test_negative_node_limit_is_usage_error(self, name):
         assert run(["decide", fx(name), "--node-limit", "-1"]) == 2

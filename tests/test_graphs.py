@@ -242,7 +242,7 @@ class TestGirth:
 
 
 def cut_vertices(g: Graph) -> set[int]:
-    return _articulation_points(range(g.n), g.adj)
+    return _articulation_points(g.n, g.edges)
 
 
 class TestCutVertices:
@@ -257,7 +257,7 @@ class TestCutVertices:
 
     @given(graphs())
     def test_matches_networkx(self, g):
-        assert _articulation_points(range(g.n), g.adj) == set(nx.articulation_points(to_nx(g)))
+        assert cut_vertices(g) == set(nx.articulation_points(to_nx(g)))
 
 
 class TestIndependentVertexCuts:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixedqt.solver as solver_module
-from mixedqt.formats import serialize_mixed
+from mixedqt.formats import parse_graph, serialize_mixed
 from mixedqt.generate import random_connected_graph, random_nae_instance, random_oriented
 from mixedqt.graphs import (
     Graph,
@@ -314,8 +314,8 @@ class TestDecideQt:
         fired = Counter()
         articulation_points = solver_module._articulation_points
 
-        def spy(vertices, adj):
-            points = articulation_points(vertices, adj)
+        def spy(k, edges):
+            points = articulation_points(k, edges)
             fired[bool(points)] += 1
             return points
 
@@ -333,6 +333,30 @@ class TestDecideQt:
                         assert vertex_status(first.mixed, v) in (
                             VertexStatus.SOURCE, VertexStatus.SINK)
         assert fired[True] > 0
+
+    def test_piece_of_a_split_region_splits_again(self, monkeypatch):
+        # one region of 27 edges whose only cut vertex is the hub z; each
+        # strip it leaves (12 edges, with p1, p2 and z) has its own cut
+        # vertex, x or y, which was not a cut vertex of the region
+        g = parse_graph((FIXTURES / "resplit.graph").read_text())
+        cuts = []
+        articulation_points = solver_module._articulation_points
+
+        def spy(k, edges):
+            points = articulation_points(k, edges)
+            cuts.append((len(edges), len(points)))
+            return points
+
+        monkeypatch.setattr(solver_module, "_articulation_points", spy)
+        w = decide_qt(g)
+        assert cuts == [(27, 1), (12, 1), (12, 1)]
+        assert w is not None and verify_witness(g, w.mixed).ok
+        assert hashlib.sha256(serialize_mixed(w.mixed).encode()).hexdigest() == (
+            "606bbf71bb90db8b5e3e99cdc74ff2ef3dc138ead7070c2e1cf87ace237c228c")
+        # above 29 edges the whole region is one CNF, with no split
+        monkeypatch.setattr(solver_module, "FLAT_CUTOFF", 30)
+        cuts.clear()
+        assert decide_qt(g) is not None and cuts == []
 
     def test_agrees_with_enumeration(self, deg3_corpus):
         for g in deg3_corpus:
