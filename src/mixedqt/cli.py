@@ -47,6 +47,7 @@ from .reduction import (
 )
 from .solver import (
     BudgetExceeded,
+    PartialOrientation,
     SolveOptions,
     decide_qt,
     verify_witness,
@@ -74,8 +75,9 @@ def _write(path: str, text: str) -> None:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once: parsing leaves it unchanged."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level argument parser and each command's own parser, built
+    once: parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="mixedqt",
         description="Decide whether a graph is the undirected square of an oriented graph.",
@@ -137,35 +139,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", metavar="FILE")
     p.add_argument("--json", action="store_true")
 
-    return parser
+    for name, p in sub.choices.items():
+        p.set_defaults(command=name)  # what the top-level parser would record
+    return parser, sub.choices
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
     method = "exact" if args.method == "auto" else args.method
     opts = SolveOptions(node_limit=args.node_limit)
-    witness = None
+    write = bool(args.witness or args.dot)
+    answer: PartialOrientation | bool | None = None
     try:
-        if method == "deg3" and not (args.witness or args.dot):
-            verdict = "YES" if decide_deg3(g) else "NO"
+        if method == "deg3":
+            answer = orient_deg3(g, opts) if write else decide_deg3(g) or None
+        elif method == "girth4":
+            answer = decide_girth4(g)
         else:
-            if method == "deg3":
-                witness = orient_deg3(g, opts)
-            elif method == "girth4":
-                witness = decide_girth4(g)
-            else:
-                witness = decide_qt(g, opts)
-            verdict = "NO" if witness is None else "YES"
+            answer = decide_qt(g, opts, witness=write)
+        verdict = "NO" if answer is None else "YES"
     except BudgetExceeded:
         verdict = "BUDGET-EXCEEDED"
-    if witness is not None:
+    if isinstance(answer, PartialOrientation):
         if args.witness:
-            _write(args.witness, serialize_mixed(witness.mixed))
+            _write(args.witness, serialize_mixed(answer.mixed))
         if args.dot:
-            _write(args.dot, mixed_to_dot(witness.mixed))
+            _write(args.dot, mixed_to_dot(answer.mixed))
     if args.json:
         print(json.dumps({"answer": verdict, "method": method,
-                          "witness": args.witness if witness is not None else None}))
+                          "witness": args.witness if verdict == "YES" else None}))
     else:
         print(verdict)
     return _VERDICT_EXIT[verdict]
@@ -296,9 +298,15 @@ _COMMANDS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:  # help, or a missing or unknown command
+            args = parser.parse_args(argv)
+        else:  # the command's own parser, as the top-level one would call it
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

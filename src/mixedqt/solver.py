@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Literal, Union, overload
 
 from .graphs import (
     Edge,
@@ -510,15 +510,18 @@ def _search_classes(solver: _ComponentSolver, constraints: list[_Shape]
     return None
 
 
-def _orient_bipartite(g: Graph) -> PartialOrientation | None:
-    """Each edge of g as the arc from colour 0 to colour 1 of the 2-colouring
-    that gives each component's smallest vertex colour 0, so every vertex is
-    a source or a sink; or None when g has an odd cycle."""
-    colour, _parent, _order, clash = _two_colour(range(g.n), g.adj)
-    if clash is not None:
-        return None
+def _arcs_by_colour(g: Graph, colour: list[int]) -> PartialOrientation:
+    """Each edge of g as the arc from colour 0 to colour 1 of a proper
+    2-colouring, so every vertex is a source or a sink."""
     arcs = frozenset((u, v) if colour[u] == 0 else (v, u) for u, v in g.edges)
     return PartialOrientation(g, MixedGraph(g.n, frozenset(), arcs))
+
+
+def _orient_bipartite(g: Graph) -> PartialOrientation | None:
+    """g's edges oriented by the 2-colouring that gives each component's
+    smallest vertex colour 0, or None when g has an odd cycle."""
+    colour, _parent, _order, clash = _two_colour(range(g.n), g.adj)
+    return _arcs_by_colour(g, colour) if clash is None else None
 
 
 def _regions(vertices: Iterable[int], adj: tuple[frozenset[int], ...],
@@ -529,18 +532,37 @@ def _regions(vertices: Iterable[int], adj: tuple[frozenset[int], ...],
             for comp in _components_of((v for v in vertices if v not in fixed), adj)]
 
 
-def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation | None:
+@overload
+def decide_qt(g: Graph, opts: SolveOptions | None = None, *,
+              witness: Literal[True] = True) -> PartialOrientation | None: ...
+@overload
+def decide_qt(g: Graph, opts: SolveOptions | None = None, *,
+              witness: Literal[False]) -> Literal[True] | None: ...
+@overload
+def decide_qt(g: Graph, opts: SolveOptions | None = None, *,
+              witness: bool) -> PartialOrientation | Literal[True] | None: ...
+
+
+def decide_qt(g: Graph, opts: SolveOptions | None = None, *,
+              witness: bool = True) -> PartialOrientation | Literal[True] | None:
     """A quasi-transitive partial orientation of g, or None when none exists.
+
+    With ``witness=False`` the answer is True instead of an orientation, and
+    nothing is built that only the orientation needs: a bipartite graph is
+    answered by its 2-colouring's clash test, any other graph as soon as the
+    class bits are found.  Both modes spend the same search nodes.
 
     A 2-colouring comes first: it answers a bipartite graph, and a graph
     with an odd cycle but no triangle is a NO.  Deterministic: identical
     inputs and options produce identical witnesses.  Raises :class:`BudgetExceeded`
     when a node limit is configured and hit, which is distinct from a NO answer.
     """
-    sol = _orient_bipartite(g)  # a bipartite graph has no triangle
-    free = g.edges if sol is not None else triangle_free_edges(g)
+    colour, _parent, _order, clash = _two_colour(range(g.n), g.adj)
+    if clash is None:  # a bipartite graph has no triangle
+        return _arcs_by_colour(g, colour) if witness else True
+    free = triangle_free_edges(g)
     if len(free) == len(g.edges):
-        return sol  # S covers every edge: no region to search
+        return None  # an odd cycle and no triangle: no region to search
     opts = opts or SolveOptions()
     adj = g.adj
     fixed = {v for e in free for v in e}
@@ -575,6 +597,8 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None) -> PartialOrientation 
     bits = _search_classes(solver, constraints)
     if bits is None:
         return None
+    if not witness:
+        return True  # every region holds under these bits
     solved = [(shape[0], solver.solve(shape, bits)[0]) for shape in constraints]
     del solver   # its region solvers are done with; free them before the witness is built
     kept: set[Edge] = set()

@@ -119,9 +119,16 @@ class TestDecide:
     def test_negative_node_limit_is_usage_error(self, name):
         assert run(["decide", fx(name), "--node-limit", "-1"]) == 2
 
-    @pytest.mark.parametrize("flag", ["--threads", "--seed"])
-    def test_removed_flags_are_usage_errors(self, flag):
-        assert run(["decide", fx("c5.graph"), flag, "1"]) == 2
+    @pytest.mark.parametrize("extra", [["--threads", "1"], ["--seed", "1"], ["extra"]],
+                             ids=["--threads", "--seed", "extra-positional"])
+    def test_removed_flags_are_usage_errors(self, capsys, extra):
+        # what the command's parser leaves over is reported as the
+        # top-level parser reports it
+        assert run(["decide", fx("c5.graph"), *extra]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "usage: mixedqt [-h] {decide,verify,square,embed,reduce,extract,gadget} ...",
+            f"mixedqt: error: unrecognized arguments: {' '.join(extra)}",
+        ]
 
     @pytest.mark.parametrize("text,answer", [
         ("p graph 5 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 0\n", "NO"),
@@ -222,6 +229,28 @@ class TestDecide:
         # YES and NO under both methods, and the triangle guard of girth4
         assert codes == {("auto", 0), ("auto", 1), ("girth4", 0), ("girth4", 1),
                          ("girth4", 2)}
+
+    def test_verdict_only_runs_match_witness_runs(self, tmp_path, capsys):
+        # graphs with triangles, whose regions are searched: a run without
+        # --witness builds no orientation, yet answers as the run that writes
+        # one does, at the default limit and at one that stops the search
+        chain = tmp_path / "chain50.graph"
+        chain.write_text(serialize_graph(Graph(101, frozenset(
+            e for t in range(50) for e in ((2 * t, 2 * t + 1), (2 * t + 1, 2 * t + 2),
+                                           (2 * t, 2 * t + 2))))))
+        fano = tmp_path / "fano.graph"
+        assert run(["reduce", fx("fano.cnf"), "-o", str(fano)]) == 0
+        wfile = tmp_path / "w.mixed"
+        codes = set()
+        for gfile in (fx("k5.graph"), fx("resplit.graph"), str(chain), str(fano)):
+            for limit in ([], ["--node-limit", "5"]):
+                runs = []
+                for witness in ([], ["--witness", str(wfile)]):
+                    runs.append((run(["decide", gfile, *limit, *witness]),
+                                 capsys.readouterr().out))
+                assert runs[0] == runs[1], (gfile, limit)
+                codes.add(runs[0][0])
+        assert codes == {0, 1, 3}
 
     def test_missing_file(self):
         assert run(["decide", fx("nope.graph")]) == 2

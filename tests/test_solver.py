@@ -429,26 +429,49 @@ class TestDecideQt:
         assert hashlib.sha256(serialize_mixed(w.mixed).encode()).hexdigest() == (
             "5155f00c4978532b741d79adfc83db4dc8982f654e8c34a785b83fb829605a08")
 
-    @pytest.mark.parametrize("make, answer, nodes", [
-        (lambda: build_reduction(fixture_formula("fano.cnf"))[0], False, 96),
-        (lambda: build_reduction(COMPLETE_5)[0], False, 70),
-        (lambda: dipath_square(256), True, 256),
-        (lambda: dipath_square(300), True, 300),
-        (lambda: dipath_square(402), True, 402),
-        (lambda: triangle_chain(600), True, 10),
-    ], ids=["fano", "complete-3-uniform-v5", "dipath-square-256", "dipath-square-300",
-            "dipath-square-402", "triangle-chain-600"])
-    def test_node_count_pinned(self, make, answer, nodes):
+    @pytest.mark.parametrize("make, answer, nodes, witness", [
+        pytest.param(make, answer, nodes, witness,
+                     id=name if witness else f"{name}-verdict-only")
+        for make, answer, nodes, name in [
+            (lambda: build_reduction(fixture_formula("fano.cnf"))[0], False, 96, "fano"),
+            (lambda: build_reduction(COMPLETE_5)[0], False, 70, "complete-3-uniform-v5"),
+            (lambda: dipath_square(256), True, 256, "dipath-square-256"),
+            (lambda: dipath_square(300), True, 300, "dipath-square-300"),
+            (lambda: dipath_square(402), True, 402, "dipath-square-402"),
+            (lambda: triangle_chain(600), True, 10, "triangle-chain-600"),
+        ]
+        for witness in (True, False)])
+    def test_node_count_pinned(self, make, answer, nodes, witness):
         # the two formulas are NAE-unsatisfiable, so the clauses their
         # gadgets' final conflicts add refute the class bits; the squares
         # and the chain, whose cut vertices form one class, hold under the
         # first bits.  Either way the node count is exactly what the limit
-        # has to allow
+        # has to allow, with or without the witness
         g = make()
-        assert (decide_qt(g, SolveOptions(node_limit=nodes)) is not None) == answer
+        got = decide_qt(g, SolveOptions(node_limit=nodes), witness=witness)
+        assert (got is not None) == answer
+        assert got is None or isinstance(got, PartialOrientation) == witness
         with pytest.raises(BudgetExceeded) as info:
-            decide_qt(g, SolveOptions(node_limit=nodes - 1))
+            decide_qt(g, SolveOptions(node_limit=nodes - 1), witness=witness)
         assert info.value.nodes == nodes
+
+    def test_verdict_only_agrees_with_witness(self, rng):
+        # the verdict-only mode answers True exactly where the witness mode
+        # finds an orientation: on bipartite graphs, graphs with an odd cycle
+        # and no triangle, and graphs whose regions are searched
+        corpus = [parse_graph(path.read_text()) for path in sorted(FIXTURES.glob("*.graph"))]
+        corpus += [triangle_chain(k) for k in (1, 2, 7, 50)]
+        corpus += [random_connected_graph(rng.randint(3, 30), 3, rng) for _ in range(150)]
+        corpus += [build_reduction(random_nae_instance(rng.randint(4, 7), rng.randint(4, 16), rng),
+                                   drop_pendants=bool(i % 2))[0] for i in range(8)]
+        corpus.append(build_reduction(fixture_formula("fano.cnf"))[0])
+        answers = Counter()
+        for g in corpus:
+            verdict = decide_qt(g, witness=False)
+            assert verdict is True or verdict is None
+            assert (verdict is True) == (decide_qt(g) is not None)
+            answers[verdict] += 1
+        assert answers[True] > 20 and answers[None] > 20
 
     def test_witnesses_pinned(self):
         # a NO search runs first, so state carried from one call to the
