@@ -10,7 +10,7 @@ Subcommands::
     extract <map> <witness>   read an assignment off a reduction witness
     gadget                    inspect the clause gadget
 
-``decide --method auto`` (the default) is ``--method exact``; ``deg3`` and
+``decide --method exact`` (the default) runs the exact solver; ``deg3`` and
 ``girth4`` run the paper's two polynomial characterisations.
 
 Exit codes: 0 yes/success, 1 no/failed verification, 2 usage or format
@@ -36,6 +36,7 @@ from .formats import (
 )
 from .graphs import mixed_square, undirected_square
 from .reduction import (
+    CONSTANT_SIGNATURES,
     clause_gadget,
     gadget_signature_report,
     build_reduction,
@@ -86,8 +87,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("decide", help="decide orientability of a graph")
     p.add_argument("graph")
-    p.add_argument("--method", choices=["auto", "exact", "deg3", "girth4"], default="auto",
-                   help="auto (the default) runs the exact solver; deg3 and girth4 run "
+    p.add_argument("--method", choices=["exact", "deg3", "girth4"], default="exact",
+                   help="exact (the default) runs the exact solver; deg3 and girth4 run "
                         "the paper's two characterisations, for graphs of maximum "
                         "degree three and for triangle-free graphs")
     p.add_argument("--witness", metavar="FILE", help="write a witness when the answer is yes")
@@ -95,12 +96,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--node-limit", type=int, default=None, metavar="N",
                    help="stop the search after N nodes with the verdict "
                         "BUDGET-EXCEEDED and exit code 3 (default: no limit)")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="verify a witness against a graph")
     p.add_argument("graph")
     p.add_argument("witness")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("square", help="square a mixed graph")
     p.add_argument("mixed")
@@ -108,14 +107,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--mixed-output", action="store_true",
                    help="emit the mixed square instead of its underlying graph")
     p.add_argument("--dot", metavar="FILE")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("embed", help="embed a graph into an orientable square")
     p.add_argument("graph")
     p.add_argument("-o", "--output", metavar="FILE")
     p.add_argument("--root", metavar="FILE", help="write the oriented root")
     p.add_argument("--dot", metavar="FILE")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("reduce", help="compile a monotone NAE3SAT instance to a graph")
     p.add_argument("cnf")
@@ -124,36 +121,33 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--drop-pendants", action="store_true",
                    help="omit gadget pendant edges at literal vertices (max degree 5)")
     p.add_argument("--dot", metavar="FILE")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("extract", help="extract an assignment from a reduction witness")
     p.add_argument("map")
     p.add_argument("witness")
     p.add_argument("-o", "--output", metavar="FILE")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("gadget", help="inspect the clause gadget")
     p.add_argument("--signatures", action="store_true",
                    help="enumerate all orientations and report achievable signatures")
     p.add_argument("-o", "--output", metavar="FILE", help="write the gadget graph")
     p.add_argument("--dot", metavar="FILE")
-    p.add_argument("--json", action="store_true")
 
-    for name, p in sub.choices.items():
+    for name, p in sub.choices.items():   # every command's last option
+        p.add_argument("--json", action="store_true")
         p.set_defaults(command=name)  # what the top-level parser would record
     return parser, sub.choices
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
-    method = "exact" if args.method == "auto" else args.method
     opts = SolveOptions(node_limit=args.node_limit)
     write = bool(args.witness or args.dot)
     answer: PartialOrientation | bool | None = None
     try:
-        if method == "deg3":
+        if args.method == "deg3":
             answer = orient_deg3(g, opts) if write else decide_deg3(g) or None
-        elif method == "girth4":
+        elif args.method == "girth4":
             answer = decide_girth4(g)
         else:
             answer = decide_qt(g, opts, witness=write)
@@ -166,7 +160,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
         if args.dot:
             _write(args.dot, mixed_to_dot(answer.mixed))
     if args.json:
-        print(json.dumps({"answer": verdict, "method": method,
+        print(json.dumps({"answer": verdict, "method": args.method,
                           "witness": args.witness if verdict == "YES" else None}))
     else:
         print(verdict)
@@ -260,17 +254,18 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
     if args.signatures:
         report = gadget_signature_report()
         achievable = sorted("".join(sig) for sig in report.signatures)
+        excluded = ["".join(sig) for sig in CONSTANT_SIGNATURES if sig not in report.signatures]
         if args.json:
             print(json.dumps({
                 "achievable": achievable,
-                "excluded": ["+++", "---"],
+                "excluded": excluded,
                 "excluded_counts": list(report.constant_counts),
                 "orientations": report.orientation_count,
             }))
         else:
             for sig in achievable:
                 print(sig)
-            print(f"excluded: +++ ---; counts: {report.constant_counts[0]} "
+            print(f"excluded: {' '.join(excluded)}; counts: {report.constant_counts[0]} "
                   f"{report.constant_counts[1]}")
         return EXIT_YES
     if args.json:

@@ -250,6 +250,36 @@ class ReductionMap:
     clause_gadget_ids: tuple[tuple[int | None, ...], ...]  # gadget vertex 0..8
 
 
+def _layout(y: CnfInstance, drop_pendants: bool) -> ReductionMap:
+    """The vertex ids of y's reduction graph: the variable paths, then the
+    fresh vertices of each clause gadget in turn."""
+    path_len = 2 * len(y.clauses) + 2
+    var_paths = tuple(
+        tuple(range((x - 1) * path_len, x * path_len)) for x in range(1, y.num_vars + 1)
+    )
+    next_id = y.num_vars * path_len
+    fresh_gadget_vertices = [gv for gv in range(9)
+                             if gv not in GADGET_LITERALS
+                             and not (drop_pendants and gv == _DROPPABLE_PENDANT[1])]
+    gadget_ids = []
+    for k, clause in enumerate(y.clauses, start=1):
+        # clause k's literal vertices are position 2k of their variables' paths
+        mapping = {lv: var_paths[x - 1][2 * k] for lv, x in zip(GADGET_LITERALS, clause)}
+        for gv in fresh_gadget_vertices:
+            mapping[gv] = next_id
+            next_id += 1
+        gadget_ids.append(tuple(mapping.get(gv) for gv in range(9)))
+    return ReductionMap(
+        instance=y,
+        drop_pendants=drop_pendants,
+        num_vertices=next_id,
+        var_paths=var_paths,
+        clause_literal_ids=tuple(tuple(ids[lv] for lv in GADGET_LITERALS)  # type: ignore[arg-type]
+                                 for ids in gadget_ids),
+        clause_gadget_ids=tuple(gadget_ids),
+    )
+
+
 def build_reduction(y: CnfInstance, *, drop_pendants: bool = False) -> tuple[Graph, ReductionMap]:
     """Assemble the reduction graph for a monotone NAE3SAT instance.
 
@@ -259,49 +289,19 @@ def build_reduction(y: CnfInstance, *, drop_pendants: bool = False) -> tuple[Gra
     ``drop_pendants`` the gadget pendant edges at literal vertices are
     omitted, which caps the maximum degree at five.
     """
-    n_clauses = len(y.clauses)
-    path_len = 2 * n_clauses + 2
-    var_paths = tuple(
-        tuple(range((x - 1) * path_len, x * path_len)) for x in range(1, y.num_vars + 1)
-    )
-    next_id = y.num_vars * path_len
+    rm = _layout(y, drop_pendants)
     edges: set[Edge] = set()
-    for ids in var_paths:
-        for i in range(len(ids) - 1):
-            edges.add(edge(ids[i], ids[i + 1]))
+    for ids in rm.var_paths:   # increasing ids, so each pair is an edge as it stands
+        edges.update(zip(ids, ids[1:]))
     gadget_edges = sorted(GADGET_EDGES - {_DROPPABLE_PENDANT} if drop_pendants
                           else GADGET_EDGES)
-    fresh_gadget_vertices = [gv for gv in range(9)
-                             if gv not in GADGET_LITERALS
-                             and not (drop_pendants and gv == _DROPPABLE_PENDANT[1])]
-    literal_ids = []
-    gadget_ids = []
-    for k, (a, b, c) in enumerate(y.clauses, start=1):
-        mapping: dict[int, int] = {
-            GADGET_LITERALS[0]: var_paths[a - 1][2 * k],
-            GADGET_LITERALS[1]: var_paths[b - 1][2 * k],
-            GADGET_LITERALS[2]: var_paths[c - 1][2 * k],
-        }
-        for gv in fresh_gadget_vertices:
-            mapping[gv] = next_id
-            next_id += 1
+    for ids in rm.clause_gadget_ids:
         for gu, gv in gadget_edges:
-            edges.add(edge(mapping[gu], mapping[gv]))
-        literal_ids.append(tuple(mapping[lv] for lv in GADGET_LITERALS))
-        gadget_ids.append(tuple(mapping.get(gv) for gv in range(9)))
-    graph = Graph(next_id, frozenset(edges))
-    rm = ReductionMap(
-        instance=y,
-        drop_pendants=drop_pendants,
-        num_vertices=next_id,
-        var_paths=var_paths,
-        clause_literal_ids=tuple(literal_ids),
-        clause_gadget_ids=tuple(gadget_ids),
-    )
-    return graph, rm
+            edges.add(edge(ids[gu], ids[gv]))  # type: ignore[arg-type]
+    return Graph(rm.num_vertices, frozenset(edges)), rm
 
 
-def assignment_to_witness(y: CnfInstance, f: Assignment, rm: ReductionMap) -> MixedGraph:
+def assignment_to_witness(rm: ReductionMap, f: Assignment) -> MixedGraph:
     """Orient the reduction graph according to a not-all-equal assignment.
 
     Paths alternate with the root a source exactly for true variables;
@@ -309,14 +309,12 @@ def assignment_to_witness(y: CnfInstance, f: Assignment, rm: ReductionMap) -> Mi
     pattern.  Raises ValueError when some clause's literals are constant
     (no gadget template exists for a constant signature).
     """
-    if y != rm.instance:
-        raise ValueError("reduction map was built for a different instance")
+    y = rm.instance
     if set(f) != set(range(1, y.num_vars + 1)):
         raise ValueError("assignment is not total over the variables")
     arcs: set[tuple[int, int]] = set()
     edges: set[Edge] = set()
-    for x in range(1, y.num_vars + 1):
-        ids = rm.var_paths[x - 1]
+    for x, ids in enumerate(rm.var_paths, start=1):
         for i in range(len(ids) - 1):
             even_end, odd_end = (ids[i], ids[i + 1]) if i % 2 == 0 else (ids[i + 1], ids[i])
             arcs.add((even_end, odd_end) if f[x] else (odd_end, even_end))
@@ -373,8 +371,8 @@ def serialize_reduction_map(rm: ReductionMap) -> str:
 def parse_reduction_map(text: str) -> ReductionMap:
     """Rebuild a reduction map from its serialised form.
 
-    The instance is reconstructed from the identifications and the map is
-    rebuilt from scratch; any inconsistency with the file is an error.  The
+    The instance is reconstructed from the identifications and its layout
+    rebuilt, with no graph; any inconsistency with the file is an error.  The
     ``c drop-pendants`` line must occur exactly once, with the flag 0 or 1:
     no id in the file depends on it, so a rebuild cannot catch a wrong one.
     """
@@ -436,7 +434,7 @@ def parse_reduction_map(text: str) -> ReductionMap:
         instance = CnfInstance(num_vars, tuple(clauses))
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None
-    _, rm = build_reduction(instance, drop_pendants=drop_pendants)
+    rm = _layout(instance, drop_pendants)
     if (rm.var_paths != tuple(var_lines[x] for x in range(1, num_vars + 1))
             or rm.clause_literal_ids != tuple(clause_lines[k] for k in range(1, n_clauses + 1))):
         raise GraphFormatError("map file ids are inconsistent with the reconstruction")

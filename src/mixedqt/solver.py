@@ -73,7 +73,6 @@ from .graphs import (
     _two_colour,
     edge,
     triangle_free_edges,
-    underlying,
 )
 from .sat import Solver
 
@@ -193,15 +192,11 @@ class WitnessCheck:
 
 def verify_witness(g: Graph, m: MixedGraph) -> WitnessCheck:
     """Check that m is a quasi-transitive partial orientation of g."""
-    problems: list[str] = []
     if m.n != g.n:
-        problems.append(f"mismatch vertex-count {m.n} {g.n}")
-        return WitnessCheck(False, tuple(problems))
-    und = underlying(m)
-    for u, v in sorted(g.edges - und.edges):
-        problems.append(f"mismatch missing-edge {u} {v}")
-    for u, v in sorted(und.edges - g.edges):
-        problems.append(f"mismatch extra-adjacency {u} {v}")
+        return WitnessCheck(False, (f"mismatch vertex-count {m.n} {g.n}",))
+    pairs = m.edges | m.arc_pairs   # the pairs of the graph underlying m
+    problems = [f"mismatch missing-edge {u} {v}" for u, v in sorted(g.edges - pairs)]
+    problems += [f"mismatch extra-adjacency {u} {v}" for u, v in sorted(pairs - g.edges)]
     if problems:
         return WitnessCheck(False, tuple(problems))
     violation = is_qt(m)
@@ -354,19 +349,6 @@ class SolveOptions:
             raise ValueError(f"node limit must be non-negative, got {self.node_limit}")
 
 
-class _Budget:
-    __slots__ = ("nodes", "limit")
-
-    def __init__(self, limit: int | None):
-        self.nodes = 0
-        self.limit = limit
-
-    def spend(self) -> None:
-        self.nodes += 1
-        if self.limit is not None and self.nodes > self.limit:
-            raise BudgetExceeded(self.nodes)
-
-
 def _encode(k: int, edges: frozenset[Edge], pinned: tuple[int, ...]
             ) -> tuple[list[Edge], Solver, list[int]]:
     """The module's CNF for a region shape on vertices 0..k-1, with the
@@ -457,10 +439,16 @@ class _ComponentSolver:
     is solved as assumptions on its pin literals.
     """
 
-    def __init__(self, budget: _Budget):
-        self.budget = budget
+    def __init__(self, limit: int | None):
+        self.nodes = 0   # the call's search nodes, counted against its limit
+        self.limit = limit
         self.memo: dict = {}
         self.engines: dict = {}
+
+    def spend(self) -> None:
+        self.nodes += 1
+        if self.limit is not None and self.nodes > self.limit:
+            raise BudgetExceeded(self.nodes)
 
     def solve(self, shape: _Shape, bits: dict[int, int]):
         """Kept edges and arcs orienting a region's shape, in its local
@@ -471,12 +459,12 @@ class _ComponentSolver:
         key = (edges, tuple(i for i, _c, _p in pins))
         if (key, forced) in self.memo:
             return self.memo[key, forced]
-        self.budget.spend()
+        self.spend()
         if key not in self.engines:
             self.engines[key] = _encode(len(order), *key)
         elist, sat, pin_lits = self.engines[key]
         assumed = [x if f else x ^ 1 for x, f in zip(pin_lits, forced)]
-        model = sat.solve(assumed, self.budget.spend)
+        model = sat.solve(assumed, self.spend)
         result = ((_decode(elist, model), None) if model is not None else
                   (None, [j for j, x in enumerate(assumed) if x in sat.core]))
         self.memo[key, forced] = result
@@ -499,7 +487,7 @@ def _search_classes(solver: _ComponentSolver, constraints: list[_Shape]
     classes = {c for _order, _edges, pins in constraints for _i, c, _p in pins}
     var = {c: v for v, c in enumerate(sorted(classes))}
     sat = Solver([()] * (2 * len(var)), [])
-    while (model := sat.solve((), solver.budget.spend)) is not None:
+    while (model := sat.solve((), solver.spend)) is not None:
         bits = {c: int(model[v]) for c, v in var.items()}
         cores = [{shape[2][j][1] for j in core} for shape in constraints
                  if (core := solver.solve(shape, bits)[1]) is not None]
@@ -515,13 +503,6 @@ def _arcs_by_colour(g: Graph, colour: list[int]) -> PartialOrientation:
     2-colouring, so every vertex is a source or a sink."""
     arcs = frozenset((u, v) if colour[u] == 0 else (v, u) for u, v in g.edges)
     return PartialOrientation(g, MixedGraph(g.n, frozenset(), arcs))
-
-
-def _orient_bipartite(g: Graph) -> PartialOrientation | None:
-    """g's edges oriented by the 2-colouring that gives each component's
-    smallest vertex colour 0, or None when g has an odd cycle."""
-    colour, _parent, _order, clash = _two_colour(range(g.n), g.adj)
-    return _arcs_by_colour(g, colour) if clash is None else None
 
 
 def _regions(vertices: Iterable[int], adj: tuple[frozenset[int], ...],
@@ -590,7 +571,7 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None, *,
     class_id = [0] * g.n
     for v in reached:
         class_id[v] = v if parent[v] is None else class_id[parent[v]]
-    solver = _ComponentSolver(_Budget(opts.node_limit))
+    solver = _ComponentSolver(opts.node_limit)
     constraints = [(order, edges, tuple((i, class_id[v], parity[v])
                                         for i, v in enumerate(order) if v in fixed))
                    for order, edges in final]

@@ -23,7 +23,6 @@ from .graphs import (
 from .solver import (
     PartialOrientation,
     SolveOptions,
-    _orient_bipartite,
     decide_qt,
 )
 
@@ -147,14 +146,13 @@ def orient_deg3(g: Graph, opts: SolveOptions | None = None) -> PartialOrientatio
 def decide_girth4(g: Graph) -> PartialOrientation | None:
     """Decide orientability for triangle-free graphs (girth four or more).
 
-    A triangle-free graph is orientable exactly when it has no odd cycle; the
-    witness is the 2-colouring orientation :func:`decide_qt` gives it too.
+    A triangle-free graph is orientable exactly when it has no odd cycle.
+    The triangle check runs first, then :func:`decide_qt`, which orients a
+    graph with no triangle by its 2-colouring, with no search.
     """
-    sol = _orient_bipartite(g)
-    # a bipartite graph has no triangle, so only a NO needs the check
-    if sol is None and len(triangle_free_edges(g)) < len(g.edges):
+    if len(triangle_free_edges(g)) < len(g.edges):
         raise ValueError("graph contains a triangle; girth must be at least four")
-    return sol
+    return decide_qt(g)
 
 
 def embed_universal(g: Graph) -> tuple[Graph, MixedGraph]:

@@ -153,7 +153,7 @@ def test_criterion_4_reduction_equivalence(capsys):
         if w is not None and not verify_witness(graph, w.mixed).ok:
             mismatches += 1
         if f is not None:
-            built = assignment_to_witness(y, f, rmap)
+            built = assignment_to_witness(rmap, f)
             if not verify_witness(graph, built).ok:
                 mismatches += 1
             elif witness_to_assignment(rmap, built) != f:

@@ -15,7 +15,7 @@ from mixedqt.graphs import (
     triangle_free_edges,
     undirected_square,
 )
-from mixedqt.reduction import parse_reduction_map
+from mixedqt.reduction import GadgetSignatureReport, parse_reduction_map
 from mixedqt.solver import verify_witness
 
 from helpers import complete_graph, cycle_graph, net_graph, prism_graph
@@ -52,9 +52,18 @@ class TestDecide:
         out = capsys.readouterr().out.strip()
         assert out == ("YES" if code == 0 else "NO")
 
-    @pytest.mark.parametrize("method", ["auto", "exact", "deg3"])
+    @pytest.mark.parametrize("method", ["exact", "deg3"])
     def test_methods_agree_on_c6(self, method):
         assert run(["decide", fx("c6.graph"), "--method", method]) == 0
+
+    def test_auto_is_not_a_method(self, capsys):
+        # the exact solver has one name, which is also the default
+        assert run(["decide", fx("c6.graph"), "--method", "auto"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "mixedqt decide: error: argument --method: invalid choice: 'auto' "
+            "(choose from 'exact', 'deg3', 'girth4')")
 
     def test_girth4_method(self):
         assert run(["decide", fx("c6.graph"), "--method", "girth4"]) == 0
@@ -111,7 +120,7 @@ class TestDecide:
     def test_help_says_what_the_options_do(self, capsys):
         assert run(["decide", "--help"]) == 0
         text = " ".join(capsys.readouterr().out.split())
-        assert "auto (the default) runs the exact solver" in text
+        assert "exact (the default) runs the exact solver" in text
         assert "deg3 and girth4 run the paper's two characterisations" in text
         assert "exit code 3" in text
 
@@ -181,7 +190,7 @@ class TestDecide:
         for g in corpus:
             gfile.write_text(serialize_graph(g))
             texts = []
-            for method in ("auto", "deg3"):
+            for method in ("exact", "deg3"):
                 wfile = tmp_path / f"{method}.mixed"
                 wfile.unlink(missing_ok=True)
                 code = run(["decide", str(gfile), "--method", method,
@@ -214,7 +223,7 @@ class TestDecide:
         wfile = tmp_path / "w.mixed"
         for gfile in files:
             g = parse_graph(Path(gfile).read_text())
-            for method in ("auto", "girth4"):
+            for method in ("exact", "girth4"):
                 wfile.unlink(missing_ok=True)
                 verdict = run(["decide", gfile, "--method", method])
                 assert run(["decide", gfile, "--method", method,
@@ -227,7 +236,7 @@ class TestDecide:
             run(["decide", gfile, "--json"])
             assert json.loads(capsys.readouterr().out)["method"] == "exact", gfile
         # YES and NO under both methods, and the triangle guard of girth4
-        assert codes == {("auto", 0), ("auto", 1), ("girth4", 0), ("girth4", 1),
+        assert codes == {("exact", 0), ("exact", 1), ("girth4", 0), ("girth4", 1),
                          ("girth4", 2)}
 
     def test_verdict_only_runs_match_witness_runs(self, tmp_path, capsys):
@@ -357,6 +366,13 @@ class TestReducePipeline:
         bad.write_text("p cnf 3 1\n1 -2 3 0\n")
         assert run(["reduce", str(bad)]) == 2
 
+    def test_invalid_clause_is_format_error(self, tmp_path, capsys):
+        # the instance's own check, reported as a format error of the file
+        bad = tmp_path / "bad.cnf"
+        bad.write_text("p cnf 3 1\n1 1 2 0\n")
+        assert run(["reduce", str(bad)]) == 2
+        assert capsys.readouterr() == ("", "error: clause (1, 1, 2) repeats a variable\n")
+
     def test_extract_rejects_invalid_witness(self, tmp_path):
         gfile = tmp_path / "g.graph"
         mapfile = tmp_path / "m.txt"
@@ -404,8 +420,26 @@ class TestGadget:
     def test_signature_json(self, capsys):
         assert run(["gadget", "--signatures", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert payload["excluded"] == ["+++", "---"]
         assert payload["excluded_counts"] == [0, 0]
         assert len(payload["achievable"]) == 6
+
+    def test_excluded_signatures_come_from_the_census(self, capsys, monkeypatch):
+        # a constant signature the census finds is achievable, not excluded
+        import mixedqt.cli as cli_module
+
+        real = cli_module.gadget_signature_report()
+        fake = GadgetSignatureReport(real.signatures | {("+", "+", "+")}, (3, 0),
+                                     real.orientation_count + 3)
+        monkeypatch.setattr(cli_module, "gadget_signature_report", lambda: fake)
+        assert run(["gadget", "--signatures", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["excluded"] == ["---"]
+        assert "+++" in payload["achievable"]
+        assert run(["gadget", "--signatures"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "excluded: ---; counts: 3 0"
+        assert len(lines) == 8
 
     def test_gadget_graph_output(self, tmp_path, capsys):
         out = tmp_path / "gadget.graph"

@@ -86,7 +86,10 @@ class TestRandomGenerators:
         lambda rng: random_connected_graph(3, 1, rng),
         lambda rng: random_connected_graph(2, 0, rng),
         lambda rng: random_oriented(4, 4.0, rng),
-    ], ids=["path-needs-degree-2", "edge-needs-degree-1", "more-arcs-than-pairs"])
+        lambda rng: random_connected_graph(0, 3, rng),
+        lambda rng: random_nae_instance(2, 1, rng),
+    ], ids=["path-needs-degree-2", "edge-needs-degree-1", "more-arcs-than-pairs",
+            "no-vertices", "nae-needs-three-variables"])
     def test_impossible_parameters_rejected(self, make, rng):
         with pytest.raises(ValueError):
             make(rng)

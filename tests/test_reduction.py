@@ -1,6 +1,11 @@
+import hashlib
+import random
+
 import pytest
 
-from mixedqt.formats import GraphFormatError
+import mixedqt.reduction as reduction_module
+from mixedqt.formats import GraphFormatError, serialize_mixed
+from mixedqt.generate import random_nae_instance
 from mixedqt.graphs import triangle_free_edges
 from mixedqt.reduction import (
     CnfInstance,
@@ -96,6 +101,10 @@ class TestCnfInstance:
         with pytest.raises(ValueError):
             CnfInstance(3, ((1, 1, 2),))
 
+    def test_negative_variable_count_rejected(self):
+        with pytest.raises(ValueError, match="negative variable count"):
+            CnfInstance(-1)
+
     def test_non_positive_literal_rejected(self):
         with pytest.raises(ValueError):
             CnfInstance(3, ((-1, 2, 3),))
@@ -164,8 +173,12 @@ class TestDimacs:
         "c no header\n",
         "1 2 3 0\np cnf 3 1\n",
         "p cnf 3 1\n1 2 a 0\n",
+        "p cnf 3 1\n1 1 2 0\n",
+        "p cnf 3 1\n1 2 4 0\n",
+        "p cnf -1 0\n",
     ], ids=["header-arity", "header-kind", "header-field", "second-header",
-            "missing-header", "clause-before-header", "non-integer-literal"])
+            "missing-header", "clause-before-header", "non-integer-literal",
+            "repeated-variable", "undeclared-variable", "negative-variable-count"])
     def test_malformed_rejected(self, text):
         with pytest.raises(GraphFormatError):
             parse_dimacs(text)
@@ -213,27 +226,39 @@ class TestWitnessTranslation:
     def test_assignment_to_witness_verifies(self):
         y = CnfInstance(3, ((1, 2, 3),))
         g, rm = build_reduction(y)
-        w = assignment_to_witness(y, {1: True, 2: False, 3: False}, rm)
+        w = assignment_to_witness(rm, {1: True, 2: False, 3: False})
         assert verify_witness(g, w).ok
 
     def test_constant_clause_rejected(self):
         y = CnfInstance(3, ((1, 2, 3),))
         _, rm = build_reduction(y)
         with pytest.raises(ValueError, match="NAE"):
-            assignment_to_witness(y, {1: True, 2: True, 3: True}, rm)
+            assignment_to_witness(rm, {1: True, 2: True, 3: True})
 
     def test_empty_instance(self):
         y = CnfInstance(0)
         g, rm = build_reduction(y)
-        w = assignment_to_witness(y, {}, rm)
+        w = assignment_to_witness(rm, {})
         assert w.n == 0 and not w.edges and not w.arcs
 
     def test_round_trip(self):
         y = CnfInstance(4, ((1, 2, 3), (2, 3, 4)))
         g, rm = build_reduction(y)
         f = {1: True, 2: True, 3: False, 4: True}
-        w = assignment_to_witness(y, f, rm)
+        w = assignment_to_witness(rm, f)
         assert witness_to_assignment(rm, w) == f
+
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_witness_bytes_pinned(self, drop):
+        # the orientations the instance-and-map signature gave, unchanged
+        y = random_nae_instance(12, 20, random.Random(3))
+        cases = [(CnfInstance(4, ((1, 2, 3), (2, 3, 4))), {1: True, 2: True, 3: False, 4: True}),
+                 (y, brute_nae(y))]
+        digests = [hashlib.sha256(serialize_mixed(assignment_to_witness(
+            build_reduction(y, drop_pendants=drop)[1], f)).encode()).hexdigest()[:16]
+            for y, f in cases]
+        assert digests == ({False: ["e123e5b4c17d3070", "a59772a8a27259dd"],
+                            True: ["cfc5844ecd879bf1", "c1c4f801456df1b6"]}[drop])
 
     def test_solver_witness_extracts_to_satisfying_assignment(self):
         y = CnfInstance(3, ((1, 2, 3),))
@@ -267,7 +292,7 @@ class TestWitnessTranslation:
                 witnesses.append(w.mixed)
             f = brute_nae(y)
             if f is not None:
-                witnesses.append(assignment_to_witness(y, f, rm))
+                witnesses.append(assignment_to_witness(rm, f))
             assert witnesses
             for m in witnesses:
                 for ids in rm.var_paths:
@@ -293,7 +318,20 @@ class TestMapAndAssignmentFiles:
 
     def test_other_comments_ignored(self):
         _, rm = build_reduction(CnfInstance(3, ((1, 2, 3),)), drop_pendants=True)
-        text = "c written by hand\n" + serialize_reduction_map(rm) + "  c trailing note\n"
+        text = "c written by hand\n\n" + serialize_reduction_map(rm) + "  c trailing note\n"
+        assert parse_reduction_map(text) == rm
+
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_parse_builds_no_graph(self, drop, monkeypatch):
+        # the map's ids are checked against the layout alone
+        y = CnfInstance(5, ((1, 2, 3), (2, 4, 5), (1, 3, 5)))
+        _, rm = build_reduction(y, drop_pendants=drop)
+        text = serialize_reduction_map(rm)
+
+        def bomb(*args, **kwargs):
+            raise AssertionError("parse_reduction_map built the reduction graph")
+
+        monkeypatch.setattr(reduction_module, "build_reduction", bomb)
         assert parse_reduction_map(text) == rm
 
     def test_tampered_map_rejected(self):

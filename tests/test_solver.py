@@ -167,6 +167,11 @@ class TestVertexStatus:
         m = MixedGraph(2, edges=frozenset({(0, 1)}))
         assert vertex_status(m, 0) is VertexStatus.ARC_FREE
 
+    @pytest.mark.parametrize("v", [-1, 2])
+    def test_out_of_range_rejected(self, v):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            vertex_status(MixedGraph(2, edges=frozenset({(0, 1)})), v)
+
 
 class TestSignature:
     def test_reversal_complements(self):

@@ -245,6 +245,19 @@ class TestDecideGirth4:
         with pytest.raises(ValueError):
             decide_girth4(complete_graph(3))
 
+    def test_triangle_check_comes_before_the_solver(self, monkeypatch):
+        import mixedqt.structure as structure_module
+
+        calls = []
+        monkeypatch.setattr(structure_module, "decide_qt", lambda *a, **k: calls.append(a))
+        for g in (complete_graph(3), complete_graph(5),
+                  Graph(8, cycle_graph(5).edges | {(5, 6), (6, 7), (5, 7)})):
+            with pytest.raises(ValueError, match="contains a triangle"):
+                decide_girth4(g)
+        assert calls == []
+        decide_girth4(cycle_graph(4))
+        assert len(calls) == 1   # the spy sees a triangle-free graph
+
     def test_agrees_with_enumeration(self, triangle_free_corpus):
         for g in triangle_free_corpus:
             w = decide_girth4(g)
