@@ -148,7 +148,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
         if args.method == "deg3":
             answer = orient_deg3(g, opts) if write else decide_deg3(g) or None
         elif args.method == "girth4":
-            answer = decide_girth4(g)
+            answer = decide_girth4(g, witness=write)
         else:
             answer = decide_qt(g, opts, witness=write)
         verdict = "NO" if answer is None else "YES"

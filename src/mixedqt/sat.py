@@ -7,14 +7,17 @@ and ``a`` in that of ``b ^ 1``), and the clauses of three or more literals,
 watched by two literals (Chaff: Moskewicz et al., DAC 2001).  A conflict
 yields a first-UIP clause and a backjump (GRASP: Marques-Silva & Sakallah
 1999).  A decision takes the unassigned variable of highest VSIDS activity
-with its last value (phase saving); only bumped variables enter the heap,
-whose stale entries are skipped when popped, and the rest go in index
-order.  Restarts follow the Luby sequence.  Assumptions are decided first,
-one level each, as in MiniSat (Eén & Sörensson, SAT 2003); a learnt clause
-follows from the clauses alone, so it holds under any later assumptions.
-When an assumption is found false, the reasons on the trail lead back to
-the assumptions that force it (MiniSat's final conflict), and clauses may
-be added between solves.
+with its last value (phase saving), false until the caller sets it
+otherwise; only bumped variables enter the heap, whose stale entries are
+skipped when popped, and the rest go in index order.  Only the first
+``decisions`` variables are ever decided: once they are all assigned with
+no conflict, each variable still unassigned reads as true (MiniSat's
+non-decision variables).  Restarts follow the Luby sequence.  Assumptions
+are decided first, one level each, as in MiniSat (Eén & Sörensson, SAT
+2003); a learnt clause follows from the clauses alone, so it holds under
+any later assumptions.  When an assumption is found false, the reasons on
+the trail lead back to the assumptions that force it (MiniSat's final
+conflict), and clauses may be added between solves.
 """
 
 from __future__ import annotations
@@ -38,15 +41,27 @@ class Solver:
     binary clause, or the clause that implied it, which holds the implied
     literal at index 0.  After a solve answers None, ``core`` holds
     assumptions that the clauses refute together: empty when the clauses
-    alone are unsatisfiable.
+    alone are unsatisfiable.  ``phase[v]`` is the value variable v takes
+    when decided, 0 for true and 1 for false.
     """
 
-    def __init__(self, bins: list[Sequence[int]], clauses: Iterable[list[int]]):
+    def __init__(self, bins: list[Sequence[int]], clauses: Iterable[list[int]],
+                 decisions: int | None = None):
         """``bins[lit]`` lists the literals ``lit`` implies, a list or a
         tuple per literal, and the ``clauses`` are lists of three or more
         distinct literals; the solver keeps both, reorders the clauses'
-        literals and grows the implication lists when clauses are added."""
+        literals and grows the implication lists when clauses are added.
+
+        Only variables below ``decisions`` (all of them by default) are
+        decided.  That is sound when every variable at or above it occurs
+        positively only in clauses of three or more literals, and
+        negatively only in binary clauses whose other literal belongs to a
+        variable below it: at a conflict-free fixpoint those other
+        literals are all true, so reading the unassigned variables as true
+        satisfies every clause, and learnt clauses follow from the clauses.
+        """
         num_vars = len(bins) // 2
+        self.decisions = num_vars if decisions is None else decisions
         self.value = [0] * (2 * num_vars)
         self.level = [0] * num_vars
         self.reason: list = [None] * num_vars
@@ -109,8 +124,8 @@ class Solver:
                     self._assign(lit, None)
                 continue
             v = self._pick()
-            if v < 0:
-                return [x > 0 for x in self.value[::2]]
+            if v < 0:   # a variable left unassigned is not a decision variable
+                return [x >= 0 for x in self.value[::2]]
             spend()
             self.limits.append(len(self.trail))
             self._assign(2 * v | self.phase[v], None)
@@ -236,13 +251,15 @@ class Solver:
             r = reason[p >> 1]
             # p's variable is marked, so p itself is skipped in its clause
             clause = (r ^ 1,) if type(r) is int else r
-        # bump every variable met; a variable that keeps an entry in the heap
-        # gets a new one, and the others are pushed when they are unassigned
-        act, queued, heap = self.activity, self.queued, self.heap
+        # bump every decision variable met; a variable that keeps an entry in
+        # the heap gets a new one, and the others are pushed when they are
+        # unassigned, so no other variable ever enters the heap
+        act, queued, heap, decisions = self.activity, self.queued, self.heap, self.decisions
         for v in seen:
-            act[v] += self.bump
-            if queued[v]:
-                heapq.heappush(heap, (-act[v], v))
+            if v < decisions:
+                act[v] += self.bump
+                if queued[v]:
+                    heapq.heappush(heap, (-act[v], v))
         learnt[0] = p ^ 1
         back = k = 0
         for j in range(1, len(learnt)):
@@ -267,7 +284,8 @@ class Solver:
             self.fresh = 0
 
     def _pick(self) -> int:
-        """The unassigned variable of highest activity, lowest first, or -1."""
+        """The unassigned decision variable of highest activity, lowest
+        first, or -1."""
         heap, act, value, queued = self.heap, self.activity, self.value, self.queued
         while heap:
             a, v = heapq.heappop(heap)
@@ -276,11 +294,13 @@ class Solver:
             queued[v] = 0
             if not value[2 * v]:
                 return v
-        v = self.fresh   # no unassigned variable of activity 0 lies below it
-        while v < len(act) and value[2 * v]:
+        # no unassigned variable of activity 0 lies below fresh, which never
+        # passes the decision variables, so the others never lower it
+        v, decisions = self.fresh, self.decisions
+        while v < decisions and value[2 * v]:
             v += 1
         self.fresh = v
-        return v if v < len(act) else -1
+        return v if v < decisions else -1
 
     def _backtrack(self, depth: int) -> None:
         """Undo every level above ``depth``, saving each value as its phase."""

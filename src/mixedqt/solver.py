@@ -12,8 +12,13 @@ false); per wedge under an edge, one variable for each direction, which
 implies that direction's two arcs, with one clause per edge asking for an
 arc or a covering wedge; a binary clause against each possible induced
 2-dipath; and a variable per pinned vertex making it a source or a sink.
-The clause-learning solver of :mod:`mixedqt.sat` decides it.  An edge lying
-in no triangle has no wedge, so it must be an arc, and the induced-2-dipath
+The clause-learning solver of :mod:`mixedqt.sat` decides it, branching on
+arcs and pins only: a wedge variable occurs positively only in the cover
+clauses and negatively only beside its two arcs, so once every arc is set
+with no conflict, each wedge left open reads as true.  The arcs of a
+pinned vertex's edges are tried as arcs first, since a pin is a source or
+a sink, and the pin's polarity picks their direction.  An edge lying in no
+triangle has no wedge, so it must be an arc, and the induced-2-dipath
 clauses then make its endpoints sources or sinks.
 
 The search rests on one fact: a source or a sink is never the middle of a
@@ -50,6 +55,9 @@ over the classes its fixed vertices belong to, decided lazily and memoised
 per shape and pinned local vertices.  Each shape is encoded once per
 call, and each pattern of its class bits is solved as assumptions on its
 pin variables, so what the solver learns under one pattern serves the next.
+Reversing every arc keeps an orientation quasi-transitive and swaps its
+sources and sinks, so each solve also answers the complement pattern: with
+the same kept edges and the arcs reversed, or with the same final conflict.
 The class bits are the model of a second CNF, one variable per class: each
 region that fails under a model adds a clause against the bits of the
 classes in its final conflict (lazy clause generation), until every region
@@ -337,9 +345,11 @@ class SolveOptions:
     :class:`BudgetExceeded`; None means unbounded, negative values are
     rejected.  A node is one region solve that is not answered from the
     memo, or one decision or one conflict of either clause-learning solver:
-    the one over the class bits or the one inside a region solve.  Answers
-    that need no search come whatever the limit: on a graph with no triangle,
-    and a NO at an odd cycle of edges between vertices on triangle-free edges.
+    the one over the class bits or the one inside a region solve.  A
+    pattern whose complement was solved before is answered from the memo,
+    so it is no node.  Answers that need no search come whatever the limit:
+    on a graph with no triangle, and a NO at an odd cycle of edges between
+    vertices on triangle-free edges.
     """
 
     node_limit: int | None = None
@@ -356,10 +366,10 @@ def _encode(k: int, edges: frozenset[Edge], pinned: tuple[int, ...]
 
     Edge i of the sorted edge list has variable 2i for the arc from its
     lower end and 2i + 1 for the reverse arc; the pins' variables come next
-    (true: a source) and the wedges' last.  The CNF is written in one pass,
-    its binary clauses straight into the solver's implication lists.
-    Returns the edge list, the solver and the pins' positive literals, in
-    the order of ``pinned``.
+    (true: a source) and the wedges' last, and the solver decides only the
+    arcs and the pins.  The CNF is written in one pass, its binary clauses
+    straight into the solver's implication lists.  Returns the edge list,
+    the solver and the pins' positive literals, in the order of ``pinned``.
     """
     elist = sorted(edges)
     adj: list[set[int]] = [set() for _ in range(k)]
@@ -411,7 +421,13 @@ def _encode(k: int, edges: frozenset[Edge], pinned: tuple[int, ...]
             bins[arc[x][v]].append(lits[p + 1])
             bins[p + 1].append(nix[v][x])
             bins[arc[v][x]].append(lits[p])
-    return elist, Solver(bins, covers), lits[2 * first_pin:2 * first_wedge:2]
+    # no wedge is decided: at a conflict-free fixpoint each unassigned one
+    # reads as true, which its two arcs, being true, allow
+    sat = Solver(bins, covers, first_wedge)
+    for v in pinned:   # a pin is a source or a sink, so its edges are arcs
+        for x in adj[v]:
+            sat.phase[arc[v][x] >> 1] = sat.phase[arc[x][v] >> 1] = 0
+    return elist, sat, lits[2 * first_pin:2 * first_wedge:2]
 
 
 def _decode(elist: list[Edge], model: list[bool]
@@ -436,7 +452,9 @@ class _ComponentSolver:
     for each pattern of bits on the classes it touches, and the result is
     shared by every region with the same shape and pinned local indices.
     Each shape is encoded once per set of pinned indices, and each pattern
-    is solved as assumptions on its pin literals.
+    is solved as assumptions on its pin literals.  A solve's answer is
+    stored under its pattern and, reversed, under the complement pattern,
+    so a shape with p pins takes at most 2^(p-1) solves.
     """
 
     def __init__(self, limit: int | None):
@@ -465,8 +483,17 @@ class _ComponentSolver:
         elist, sat, pin_lits = self.engines[key]
         assumed = [x if f else x ^ 1 for x, f in zip(pin_lits, forced)]
         model = sat.solve(assumed, self.spend)
-        result = ((_decode(elist, model), None) if model is not None else
-                  (None, [j for j, x in enumerate(assumed) if x in sat.core]))
+        if model is None:
+            core = [j for j, x in enumerate(assumed) if x in sat.core]
+            result = reverse = (None, core)
+        else:
+            kept, arcs = _decode(elist, model)
+            result = (kept, arcs), None
+            reverse = (kept, frozenset((v, u) for u, v in arcs)), None
+        # reversing every arc swaps sources and sinks, so the complement
+        # pattern has the reversed answer, or the same core; with no pin the
+        # complement is the pattern itself, and its own answer is stored last
+        self.memo[key, tuple(not f for f in forced)] = reverse
         self.memo[key, forced] = result
         return result
 

@@ -11,6 +11,7 @@ induced subgraph of an orientable square.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
 from .graphs import (
     Graph,
@@ -143,16 +144,18 @@ def orient_deg3(g: Graph, opts: SolveOptions | None = None) -> PartialOrientatio
     return sol
 
 
-def decide_girth4(g: Graph) -> PartialOrientation | None:
+def decide_girth4(g: Graph, *, witness: bool = True
+                  ) -> PartialOrientation | Literal[True] | None:
     """Decide orientability for triangle-free graphs (girth four or more).
 
     A triangle-free graph is orientable exactly when it has no odd cycle.
     The triangle check runs first, then :func:`decide_qt`, which orients a
-    graph with no triangle by its 2-colouring, with no search.
+    graph with no triangle by its 2-colouring, with no search; with
+    ``witness=False`` it answers True instead and builds no orientation.
     """
     if len(triangle_free_edges(g)) < len(g.edges):
         raise ValueError("graph contains a triangle; girth must be at least four")
-    return decide_qt(g)
+    return decide_qt(g, witness=witness)
 
 
 def embed_universal(g: Graph) -> tuple[Graph, MixedGraph]:

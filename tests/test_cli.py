@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import mixedqt.solver as solver_module
 from mixedqt.cli import _build_parser, run
 from mixedqt.formats import parse_graph, parse_mixed, serialize_graph, serialize_mixed
 from mixedqt.generate import random_connected_graph
@@ -71,6 +72,20 @@ class TestDecide:
 
     def test_girth4_rejects_triangles(self):
         assert run(["decide", fx("k4.graph"), "--method", "girth4"]) == 2
+
+    def test_girth4_verdict_only_builds_no_witness(self, monkeypatch):
+        # a bipartite YES without --witness or --dot never orients its edges
+        calls = []
+        arcs_by_colour = solver_module._arcs_by_colour
+
+        def spy(*args):
+            calls.append(args)
+            return arcs_by_colour(*args)
+
+        monkeypatch.setattr(solver_module, "_arcs_by_colour", spy)
+        codes = [run(["decide", fx(name), "--method", "girth4"])
+                 for name in ("c5.graph", "c6.graph", "k4.graph")]
+        assert codes == [1, 0, 2] and calls == []
 
     def test_deg3_rejects_high_degree(self):
         assert run(["decide", fx("k5.graph"), "--method", "deg3"]) == 2

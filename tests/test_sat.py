@@ -5,7 +5,7 @@ import pytest
 from mixedqt.sat import Solver
 
 
-def make_solver(num_vars, clauses, kind=tuple):
+def make_solver(num_vars, clauses, kind=tuple, decisions=None):
     """A solver for a list of clauses of two or more distinct literals:
     each binary clause goes into two implication lists of type ``kind``,
     the longer clauses are handed over as they are."""
@@ -17,7 +17,7 @@ def make_solver(num_vars, clauses, kind=tuple):
         else:
             bins[c[0] ^ 1] += (c[1],)
             bins[c[1] ^ 1] += (c[0],)
-    return Solver(bins, long)
+    return Solver(bins, long, decisions)
 
 
 def brute_force(num_vars, clauses, assumptions):
@@ -82,6 +82,47 @@ def test_agrees_with_brute_force_under_assumptions(rng):
                 shrunk += len(set(solver.core)) < len(set(assumptions))
             answers[expected] += 1
     assert min(answers) > 100 and shrunk > 50
+
+
+def test_decision_count_agrees_with_brute_force(rng):
+    # d decision variables under random clauses, then auxiliary variables
+    # as the precondition allows them: positive only in clauses of three or
+    # more literals, negative only in binary clauses with a decision
+    # variable; no auxiliary variable is ever decided, and one left
+    # unassigned reads as true
+    answers = [0, 0]
+    open_aux = 0   # models with an auxiliary variable left unassigned
+    for _ in range(300):
+        d = rng.randint(3, 7)
+        num_vars = d + rng.randint(1, 4)
+        clauses = random_cnf(rng, d, rng.randint(1, 4 * d))
+        for w in range(d, num_vars):
+            for _ in range(rng.randint(1, 3)):
+                clauses.append([2 * w + 1, 2 * rng.randrange(d) + rng.randint(0, 1)])
+            for _ in range(rng.randint(1, 3)):
+                others = rng.sample([v for v in range(num_vars) if v != w], rng.randint(2, 3))
+                clauses.append([2 * w] + [2 * v + (v < d and rng.randint(0, 1)) for v in others])
+        solver = make_solver(num_vars, clauses, decisions=d)
+        picked = []
+        pick = solver._pick
+
+        def pick_spy():
+            picked.append(pick())
+            return picked[-1]
+
+        solver._pick = pick_spy
+        for _ in range(3):
+            assumed = rng.sample(range(num_vars), rng.randint(0, num_vars // 2))
+            assumptions = [2 * v + rng.randint(0, 1) for v in assumed]
+            model = solver.solve(assumptions, lambda: None)
+            expected = brute_force(num_vars, clauses, assumptions)
+            assert (model is not None) == expected
+            if model is not None:
+                assert len(model) == num_vars and satisfies(model, clauses, assumptions)
+                open_aux += any(not solver.value[2 * w] for w in range(d, num_vars))
+            answers[expected] += 1
+        assert all(v < d for v in picked)
+    assert min(answers) > 100 and open_aux > 50
 
 
 def test_pigeonhole_refuted_across_activity_rescaling():

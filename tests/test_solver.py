@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 import mixedqt.solver as solver_module
 from mixedqt.formats import parse_graph, serialize_mixed
-from mixedqt.generate import random_connected_graph, random_nae_instance, random_oriented
+from mixedqt.generate import (
+    connected_graphs,
+    random_connected_graph,
+    random_nae_instance,
+    random_oriented,
+)
 from mixedqt.graphs import (
     Graph,
     MixedGraph,
@@ -357,7 +362,7 @@ class TestDecideQt:
         assert cuts == [(27, 1), (12, 1), (12, 1)]
         assert w is not None and verify_witness(g, w.mixed).ok
         assert hashlib.sha256(serialize_mixed(w.mixed).encode()).hexdigest() == (
-            "606bbf71bb90db8b5e3e99cdc74ff2ef3dc138ead7070c2e1cf87ace237c228c")
+            "b1dcafdbcc683049b5cfbcf9e239689f7d60602534f5f07c838d74e9aad868b8")
         # above 29 edges the whole region is one CNF, with no split
         monkeypatch.setattr(solver_module, "FLAT_CUTOFF", 30)
         cuts.clear()
@@ -432,14 +437,14 @@ class TestDecideQt:
         w = decide_qt(g)
         assert w is not None and verify_witness(g, w.mixed).ok
         assert hashlib.sha256(serialize_mixed(w.mixed).encode()).hexdigest() == (
-            "5155f00c4978532b741d79adfc83db4dc8982f654e8c34a785b83fb829605a08")
+            "65bed0cc50609e60b597e64f032519f74671000c3d8f8f9c238e2f9d79af49d0")
 
     @pytest.mark.parametrize("make, answer, nodes, witness", [
         pytest.param(make, answer, nodes, witness,
                      id=name if witness else f"{name}-verdict-only")
         for make, answer, nodes, name in [
-            (lambda: build_reduction(fixture_formula("fano.cnf"))[0], False, 96, "fano"),
-            (lambda: build_reduction(COMPLETE_5)[0], False, 70, "complete-3-uniform-v5"),
+            (lambda: build_reduction(fixture_formula("fano.cnf"))[0], False, 71, "fano"),
+            (lambda: build_reduction(COMPLETE_5)[0], False, 47, "complete-3-uniform-v5"),
             (lambda: dipath_square(256), True, 256, "dipath-square-256"),
             (lambda: dipath_square(300), True, 300, "dipath-square-300"),
             (lambda: dipath_square(402), True, 402, "dipath-square-402"),
@@ -489,7 +494,7 @@ class TestDecideQt:
             (one_clause, "63aee4452e3b5e85594456be2ac88bbf8c460a18af1ce52f2a1beb0fdaf55ac2"),
             (dipath_square(64),
              "7e36c704eb7bff318148ee0061ec6f8e5c2c7a7e6d95c97aa7971f1dbb645d83"),
-            (chain, "0f1aa6d12fe141e214a124fc5808fee55a54ae52e96e3d9f87a6e19f31e1f10e"),
+            (chain, "24f3178263aabbc46d7d573b830a557987d7af60a85029ae03d9b62d43de288a"),
             (dipath_square(256),
              "023230e68d146dcc77c78acd091a9b7bf83c59137ed4d1e2dd7a84c3ac69c8ef"),
             (dipath_square(402),
@@ -615,6 +620,47 @@ class TestDecideQt:
         assert (len(encodings), len(solves)) == alone
         assert alone[0] > 0 and alone[1] > 0
 
+    def test_complement_pattern_shares_one_solve(self, monkeypatch):
+        # the clause gadget has three pins in three classes, so its eight
+        # patterns of class bits take four SAT solves; each answer under a
+        # complement is the reversed orientation, or the same core
+        shapes, solves = [], []
+        search_classes, solve = solver_module._search_classes, Solver.solve
+
+        def search_spy(solver, constraints):
+            shapes.extend(constraints)
+            return search_classes(solver, constraints)
+
+        def solve_spy(self, *args):
+            solves.append(args)
+            return solve(self, *args)
+
+        monkeypatch.setattr(solver_module, "_search_classes", search_spy)
+        decide_qt(build_reduction(fixture_formula("one_clause.cnf"))[0])
+        (order, edges, pins), = shapes
+        classes = sorted({c for _i, c, _p in pins})
+        assert len(classes) == 3
+        monkeypatch.setattr(Solver, "solve", solve_spy)
+        regions = solver_module._ComponentSolver(None)
+        region = Graph(len(order), edges)
+        answers = {}
+        for bits in product((0, 1), repeat=3):
+            answer = answers[bits] = regions.solve((order, edges, pins), dict(zip(classes, bits)))
+            if answer[0] is not None:
+                m = MixedGraph(region.n, *answer[0])
+                assert verify_witness(region, m).ok
+                for i, c, p in pins:
+                    source = p == bits[classes.index(c)]
+                    assert vertex_status(m, i) is (
+                        VertexStatus.SOURCE if source else VertexStatus.SINK)
+        assert len(solves) == 4
+        for bits, (oriented, core) in answers.items():
+            flipped, flipped_core = answers[tuple(1 - b for b in bits)]
+            assert core == flipped_core
+            if oriented is not None:
+                assert flipped == (oriented[0], frozenset((v, u) for u, v in oriented[1]))
+        assert sum(core is None for _o, core in answers.values()) == 6
+
     def test_long_dipath_square_at_default_recursion_limit(self):
         # 2,001 edges, so the search runs deeper than Python's default
         # recursion limit would allow a recursive one
@@ -672,3 +718,21 @@ class TestQtStructuralFacts:
     def test_square_of_valid_orientation_is_itself(self):
         for po in enumerate_qt(complete_graph(4)):
             assert mixed_square(po.mixed) == po.mixed
+
+    def test_reversing_every_arc_swaps_sources_and_sinks(self):
+        # what a region's answer under the complement of a pin pattern rests
+        # on; above 10 edges on six vertices the orientations run to millions
+        swap = {VertexStatus.SOURCE: VertexStatus.SINK, VertexStatus.SINK: VertexStatus.SOURCE}
+        seen = 0
+        for g in connected_graphs(6):
+            if len(g.edges) > 10:
+                continue
+            for po in enumerate_qt(g):
+                m = po.mixed
+                r = MixedGraph(m.n, m.edges, frozenset((v, u) for u, v in m.arcs))
+                assert is_qt(r) is None
+                for v in range(m.n):
+                    status = vertex_status(m, v)
+                    assert vertex_status(r, v) == swap.get(status, status)
+                seen += 1
+        assert seen > 25000
