@@ -47,21 +47,24 @@ everything after reads that local graph.  A region with more than
 ``FLAT_CUTOFF`` edges is split at all of its cut vertices, found in the
 local graph: they join S, and the components of the region - S, each with
 its neighbours in S, go onto the end of the worklist, to be relabelled and
-tested in turn.  A region with no cut vertex is final, and its local graph
-is its shape.  Adjacent vertices of S alternate, so each connected piece
-of the graph S induces is a polarity class decided by one bit, and an odd
-cycle there is a NO before any search.  Each final region is a constraint
-over the classes its fixed vertices belong to, decided lazily and memoised
-per shape and pinned local vertices.  Each shape is encoded once per
-call, and each pattern of its class bits is solved as assumptions on its
-pin variables, so what the solver learns under one pattern serves the next.
-Reversing every arc keeps an orientation quasi-transitive and swaps its
-sources and sinks, so each solve also answers the complement pattern: with
-the same kept edges and the arcs reversed, or with the same final conflict.
-The class bits are the model of a second CNF, one variable per class: each
-region that fails under a model adds a clause against the bits of the
-classes in its final conflict (lazy clause generation), until every region
-holds or that CNF has no model.  A 2-colouring of G comes first: a bipartite
+tested in turn.  A region with no cut vertex is final: its local graph is
+its shape, its fixed vertices are its pins, and its shape with its pins'
+local indices is its key.  Adjacent vertices of S alternate, so each
+connected piece of the graph S induces is a polarity class decided by one
+bit, and an odd cycle there is a NO before any search.  The class bits are
+the model of a second CNF, one variable per class that some final region
+touches, with no clause at first, so the first model is all zeros.  Each
+final region is solved under the model: each key is encoded once per call,
+and the pattern of its pins' class bits is solved as assumptions on its pin
+variables, so what the solver learns under one pattern serves the next.
+The answer is memoised per key and pattern.  Reversing every arc keeps an
+orientation quasi-transitive and swaps its sources and sinks, so each solve
+also answers the complement pattern, with the same kept edges and the arcs
+reversed or with the same final conflict: a key with p pins takes at most
+2^(p-1) solves.  Each region that fails adds a clause against the bits of
+the classes in its final conflict, the empty clause when it has no pin
+(lazy clause generation), and the CNF is solved again, until every region
+holds or it has no model.  A 2-colouring of G comes first: a bipartite
 graph has no triangle, and each edge becomes the arc from colour 0 to colour
 1; an odd cycle in a graph with no triangle is a NO before any search.
 """
@@ -438,43 +441,52 @@ def _decode(elist: list[Edge], model: list[bool]
             frozenset(e if f else (e[1], e[0]) for e, f, r in states if f or r))
 
 
-_Shape = tuple[list[int], frozenset[Edge], tuple[tuple[int, int, int], ...]]
+class _ClassSearch:
+    """The class stage of one :func:`decide_qt` call, with its node count.
 
-
-class _ComponentSolver:
-    """The memoised region solves of one :func:`decide_qt` call.
-
-    A final region comes as its sorted vertices, its shape (its edges
-    relabelled by position in that order) and, for each of its fixed
-    vertices, a pin: the local index, the class (the smallest vertex of its
-    connected piece of the graph the fixed vertices induce) and the parity
-    (its colour in the 2-colouring of that graph).  A region is solved once
-    for each pattern of bits on the classes it touches, and the result is
-    shared by every region with the same shape and pinned local indices.
-    Each shape is encoded once per set of pinned indices, and each pattern
-    is solved as assumptions on its pin literals.  A solve's answer is
-    stored under its pattern and, reversed, under the complement pattern,
-    so a shape with p pins takes at most 2^(p-1) solves.
+    A final region comes in as its sorted vertices, its shape and, per pin,
+    the local index, the class (the smallest vertex of its piece) and the
+    parity (its colour in the 2-colouring of the graph the fixed vertices
+    induce).  It is kept as its sorted vertices, its key and, per pin, the
+    class variable and the parity; the variables number the classes in
+    increasing order.  A region's answer is its kept edges and arcs in
+    local labels, and None; or None and the indices into its pins of its
+    final conflict.
     """
 
-    def __init__(self, limit: int | None):
+    def __init__(self, limit: int | None,
+                 final: list[tuple[list[int], frozenset[Edge], list[tuple[int, int, int]]]]):
         self.nodes = 0   # the call's search nodes, counted against its limit
         self.limit = limit
-        self.memo: dict = {}
+        classes = sorted({c for _order, _edges, pins in final for _i, c, _p in pins})
+        self.var = {c: x for x, c in enumerate(classes)}
+        self.regions = [(order, (edges, tuple(i for i, _c, _p in pins)),
+                         tuple((self.var[c], p) for _i, c, p in pins))
+                        for order, edges, pins in final]
+        self.sat = Solver([()] * (2 * len(classes)), [])
         self.engines: dict = {}
+        self.memo: dict = {}
 
     def spend(self) -> None:
         self.nodes += 1
         if self.limit is not None and self.nodes > self.limit:
             raise BudgetExceeded(self.nodes)
 
-    def solve(self, shape: _Shape, bits: dict[int, int]):
-        """Kept edges and arcs orienting a region's shape, in its local
-        labels, under the bits of the classes it touches, and None; or None
-        and the indices into the shape's pins of its final conflict."""
-        order, edges, pins = shape
-        forced = tuple(p == bits[c] for _i, c, p in pins)   # True: a source
-        key = (edges, tuple(i for i, _c, _p in pins))
+    def search(self) -> list[bool] | None:
+        """A class model under which every region holds, or None."""
+        while (model := self.sat.solve((), self.spend)) is not None:
+            cores = [{region[2][j][0] for j in core} for region in self.regions
+                     if (core := self.solve(region, model)[1]) is not None]
+            if not cores:
+                return model
+            for cs in cores:
+                self.sat.add_clause([2 * c + model[c] for c in sorted(cs)])
+        return None
+
+    def solve(self, region: tuple, model: list[bool]) -> tuple:
+        """A region's answer under a class model."""
+        order, key, pins = region
+        forced = tuple(p == model[c] for c, p in pins)   # True: a source
         if (key, forced) in self.memo:
             return self.memo[key, forced]
         self.spend()
@@ -482,47 +494,19 @@ class _ComponentSolver:
             self.engines[key] = _encode(len(order), *key)
         elist, sat, pin_lits = self.engines[key]
         assumed = [x if f else x ^ 1 for x, f in zip(pin_lits, forced)]
-        model = sat.solve(assumed, self.spend)
-        if model is None:
+        found = sat.solve(assumed, self.spend)
+        if found is None:
             core = [j for j, x in enumerate(assumed) if x in sat.core]
             result = reverse = (None, core)
         else:
-            kept, arcs = _decode(elist, model)
+            kept, arcs = _decode(elist, found)
             result = (kept, arcs), None
             reverse = (kept, frozenset((v, u) for u, v in arcs)), None
-        # reversing every arc swaps sources and sinks, so the complement
-        # pattern has the reversed answer, or the same core; with no pin the
-        # complement is the pattern itself, and its own answer is stored last
+        # with no pin the complement is the pattern itself, and its own
+        # answer is stored last
         self.memo[key, tuple(not f for f in forced)] = reverse
         self.memo[key, forced] = result
         return result
-
-
-def _search_classes(solver: _ComponentSolver, constraints: list[_Shape]
-                    ) -> dict[int, int] | None:
-    """Bits for the classes the constraints touch under which every
-    constraint's region is orientable, or None when there are none.
-
-    A constraint is a region's shape, decided by the memoised
-    :meth:`_ComponentSolver.solve`.  A class in no constraint reads as 0.
-    The bits are a model of a CNF with one variable per class, at first
-    with no clause, so the first model is all zeros.  Each region that fails
-    under a model adds a clause against the bits of the classes in its final
-    conflict (the empty clause when it touches no class), and the CNF is
-    solved again.
-    """
-    classes = {c for _order, _edges, pins in constraints for _i, c, _p in pins}
-    var = {c: v for v, c in enumerate(sorted(classes))}
-    sat = Solver([()] * (2 * len(var)), [])
-    while (model := sat.solve((), solver.spend)) is not None:
-        bits = {c: int(model[v]) for c, v in var.items()}
-        cores = [{shape[2][j][1] for j in core} for shape in constraints
-                 if (core := solver.solve(shape, bits)[1]) is not None]
-        if not cores:
-            return bits
-        for cs in cores:
-            sat.add_clause([2 * var[c] + bits[c] for c in sorted(cs)])
-    return None
 
 
 def _arcs_by_colour(g: Graph, colour: list[int]) -> PartialOrientation:
@@ -598,17 +582,17 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None, *,
     class_id = [0] * g.n
     for v in reached:
         class_id[v] = v if parent[v] is None else class_id[parent[v]]
-    solver = _ComponentSolver(opts.node_limit)
-    constraints = [(order, edges, tuple((i, class_id[v], parity[v])
-                                        for i, v in enumerate(order) if v in fixed))
-                   for order, edges in final]
-    bits = _search_classes(solver, constraints)
-    if bits is None:
+    search = _ClassSearch(opts.node_limit, [
+        (order, edges, [(i, class_id[v], parity[v]) for i, v in enumerate(order) if v in fixed])
+        for order, edges in final])
+    model = search.search()
+    if model is None:
         return None
     if not witness:
-        return True  # every region holds under these bits
-    solved = [(shape[0], solver.solve(shape, bits)[0]) for shape in constraints]
-    del solver   # its region solvers are done with; free them before the witness is built
+        return True  # every region holds under this model
+    solved = [(region[0], search.solve(region, model)[0]) for region in search.regions]
+    var = search.var
+    del search   # its region solvers are done with; free them before the witness is built
     kept: set[Edge] = set()
     arcs: set[tuple[int, int]] = set()
     for order, (sub_kept, sub_arcs) in solved:
@@ -617,7 +601,8 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None, *,
     # an edge between two fixed vertices runs from the source to the sink,
     # whatever a region made of it: that arc lies on no 2-dipath
     for u in reached:
-        source = parity[u] == bits.get(class_id[u], 0)
+        c = var.get(class_id[u])   # a class in no final region reads as 0
+        source = parity[u] == (c is not None and model[c])
         for v in adj[u]:
             if u < v and v in fixed:
                 kept.discard((u, v))

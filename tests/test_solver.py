@@ -60,6 +60,10 @@ from helpers import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 COMPLETE_5 = CnfInstance(5, tuple(combinations(range(1, 6), 3)))
+# K3 x K3, the line graph of K_{3,3}: every edge lies in a triangle, so its
+# one region has no pin
+ROOK_3X3 = Graph(9, frozenset((u, v) for u, v in combinations(range(9), 2)
+                              if u // 3 == v // 3 or u % 3 == v % 3))
 
 
 def fixture_formula(name):
@@ -449,14 +453,16 @@ class TestDecideQt:
             (lambda: dipath_square(300), True, 300, "dipath-square-300"),
             (lambda: dipath_square(402), True, 402, "dipath-square-402"),
             (lambda: triangle_chain(600), True, 10, "triangle-chain-600"),
+            (lambda: ROOK_3X3, False, 18, "rook-3x3"),
         ]
         for witness in (True, False)])
     def test_node_count_pinned(self, make, answer, nodes, witness):
         # the two formulas are NAE-unsatisfiable, so the clauses their
         # gadgets' final conflicts add refute the class bits; the squares
         # and the chain, whose cut vertices form one class, hold under the
-        # first bits.  Either way the node count is exactly what the limit
-        # has to allow, with or without the witness
+        # first bits.  The rook's graph fails with no pin, so its final
+        # conflict is the empty clause.  Either way the node count is exactly
+        # what the limit has to allow, with or without the witness
         g = make()
         got = decide_qt(g, SolveOptions(node_limit=nodes), witness=witness)
         assert (got is not None) == answer
@@ -624,35 +630,36 @@ class TestDecideQt:
         # the clause gadget has three pins in three classes, so its eight
         # patterns of class bits take four SAT solves; each answer under a
         # complement is the reversed orientation, or the same core
-        shapes, solves = [], []
-        search_classes, solve = solver_module._search_classes, Solver.solve
+        searches, solves = [], []
+        search, solve = solver_module._ClassSearch.search, Solver.solve
 
-        def search_spy(solver, constraints):
-            shapes.extend(constraints)
-            return search_classes(solver, constraints)
+        def search_spy(self):
+            searches.append(self)
+            return search(self)
 
         def solve_spy(self, *args):
             solves.append(args)
             return solve(self, *args)
 
-        monkeypatch.setattr(solver_module, "_search_classes", search_spy)
+        monkeypatch.setattr(solver_module._ClassSearch, "search", search_spy)
         decide_qt(build_reduction(fixture_formula("one_clause.cnf"))[0])
-        (order, edges, pins), = shapes
-        classes = sorted({c for _i, c, _p in pins})
-        assert len(classes) == 3
+        (order, (edges, pinned), pins), = searches[0].regions
+        assert sorted(c for c, _p in pins) == [0, 1, 2]
         monkeypatch.setattr(Solver, "solve", solve_spy)
-        regions = solver_module._ComponentSolver(None)
-        region = Graph(len(order), edges)
+        # a fresh search, whose class ids are the found one's variables
+        classes = solver_module._ClassSearch(
+            None, [(order, edges, [(i, c, p) for i, (c, p) in zip(pinned, pins)])])
+        region, = classes.regions
+        shape = Graph(len(order), edges)
         answers = {}
         for bits in product((0, 1), repeat=3):
-            answer = answers[bits] = regions.solve((order, edges, pins), dict(zip(classes, bits)))
+            answer = answers[bits] = classes.solve(region, [bool(b) for b in bits])
             if answer[0] is not None:
-                m = MixedGraph(region.n, *answer[0])
-                assert verify_witness(region, m).ok
-                for i, c, p in pins:
-                    source = p == bits[classes.index(c)]
+                m = MixedGraph(shape.n, *answer[0])
+                assert verify_witness(shape, m).ok
+                for i, (c, p) in zip(pinned, pins):
                     assert vertex_status(m, i) is (
-                        VertexStatus.SOURCE if source else VertexStatus.SINK)
+                        VertexStatus.SOURCE if p == bits[c] else VertexStatus.SINK)
         assert len(solves) == 4
         for bits, (oriented, core) in answers.items():
             flipped, flipped_core = answers[tuple(1 - b for b in bits)]
