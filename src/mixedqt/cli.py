@@ -26,7 +26,6 @@ import sys
 from typing import Callable
 
 from .formats import (
-    GraphFormatError,
     graph_to_dot,
     mixed_to_dot,
     parse_graph,
@@ -63,11 +62,8 @@ _VERDICT_EXIT = {"YES": EXIT_YES, "NO": EXIT_NO, "BUDGET-EXCEEDED": EXIT_BUDGET}
 
 
 def _read(path: str) -> str:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as exc:
-        raise GraphFormatError(f"cannot read {path}: {exc}") from None
+    with open(path) as fh:
+        return fh.read()
 
 
 def _write(path: str, text: str) -> None:
@@ -307,8 +303,11 @@ def run(argv: list[str]) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:  # GraphFormatError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        message = str(exc)
+    except MemoryError:  # printed below, once the failed call's frames are freed
+        message = "out of memory"
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def main() -> None:

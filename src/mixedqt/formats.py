@@ -14,13 +14,21 @@ identity on canonical files.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 from .graphs import Graph, MixedGraph
 
 
 class GraphFormatError(ValueError):
-    """Raised when a graph, witness, or map file cannot be parsed."""
+    """Raised when a graph, witness, CNF or map file cannot be parsed."""
+
+
+def _built(make: Callable[..., Any], *args: object) -> Any:
+    """``make(*args)``, any ValueError it raises turned into a format error."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
 
 
 def _read_header(lines: Iterator[tuple[int, str]], kind: str, empty: str) -> list[int]:
@@ -83,10 +91,7 @@ def parse_graph(text: str) -> Graph:
     edges = _read_body(lines, "e")["e"]
     if len(edges) != m:
         raise GraphFormatError(f"header declares {m} edges, body has {len(edges)}")
-    try:
-        return Graph(n, frozenset(edges))
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
+    return _built(Graph, n, frozenset(edges))
 
 
 def parse_mixed(text: str) -> MixedGraph:
@@ -100,10 +105,7 @@ def parse_mixed(text: str) -> MixedGraph:
     if len(edges) != me or len(arcs) != ma:
         raise GraphFormatError(
             f"header declares {me} edges / {ma} arcs, body has {len(edges)} / {len(arcs)}")
-    try:
-        return MixedGraph(n, frozenset(edges), frozenset(arcs))
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
+    return _built(MixedGraph, n, frozenset(edges), frozenset(arcs))
 
 
 def serialize_graph(g: Graph) -> str:

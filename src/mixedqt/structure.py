@@ -72,8 +72,7 @@ def reduce_removable(g: Graph) -> tuple[Graph, RemovalTrace]:
     removable vertex.  Returns the reduced graph, its survivors re-indexed
     densely in their original order, and the removed vertices.
     """
-    _require_deg3(g)
-    doomed = removable_vertices(g)
+    doomed = removable_vertices(g)   # which checks the degree
     reduced, _kept = delete_vertices(g, doomed)
     if removable_vertices(reduced):
         raise RuntimeError("reduction left removable vertices; this should be impossible")
@@ -120,8 +119,7 @@ def decide_deg3(g: Graph) -> bool:
     the ones on no such edge are isolated, which leaves bipartiteness
     unchanged.  Runs in polynomial time.
     """
-    _require_deg3(g)
-    reduced, _trace = reduce_removable(g)
+    reduced, _trace = reduce_removable(g)   # which checks the degree
     if find_net(reduced) is not None:
         return False
     return find_odd_cycle(Graph(reduced.n, triangle_free_edges(reduced))) is None

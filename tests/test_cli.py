@@ -1,10 +1,14 @@
 import json
 import random
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mixedqt
 import mixedqt.solver as solver_module
 from mixedqt.cli import _build_parser, run
 from mixedqt.formats import parse_graph, parse_mixed, serialize_graph, serialize_mixed
@@ -276,8 +280,11 @@ class TestDecide:
                 codes.add(runs[0][0])
         assert codes == {0, 1, 3}
 
-    def test_missing_file(self):
+    def test_missing_file(self, capsys):
+        # the OSError itself, as for a file that cannot be written
         assert run(["decide", fx("nope.graph")]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: {fx('nope.graph')!r}\n")
 
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.graph"
@@ -559,6 +566,26 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("error: [Errno 2] No such file or directory: ") and "nodir" in err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("decide", "p graph 100000000 0\n"),
+    ("reduce", "p cnf 50000000 0\n"),
+], ids=["decide-1e8-vertices", "reduce-5e7-variables"])
+def test_out_of_memory_is_usage_error(tmp_path, command, text):
+    # a tiny file can ask for more memory than there is: each run gets a
+    # 256 MB address-space cap, so it fails fast and never strains the machine
+    path = tmp_path / "big"
+    path.write_text(text)
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    src = str(Path(mixedqt.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "mixedqt.cli", command, str(path)],
+        capture_output=True, text=True, preexec_fn=cap, env={"PYTHONPATH": src}, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
 
 
 def test_extract_rejects_malformed_map(tmp_path, capsys):

@@ -75,6 +75,8 @@ class TestTypes:
         (lambda: MixedGraph(3, arcs=frozenset({(1, 3)})), "arc (1,3) out of range for n=3"),
         (lambda: MixedGraph(3, arcs=frozenset({(-1, 0)})), "arc (-1,0) out of range for n=3"),
         (lambda: MixedGraph(3, arcs=frozenset({(0, 1), (1, 0)})), "digon between 0 and 1"),
+        (lambda: MixedGraph(3, arcs=frozenset({(0, 1, 2)})),
+         "too many values to unpack (expected 2)"),
         (lambda: MixedGraph(3, edges=frozenset({(0, 2)}), arcs=frozenset({(2, 0)})),
          "pair {2,0} carries both an edge and an arc"),
         (lambda: MixedGraph(5, arcs=frozenset({(0, 1), (1, 2), (3, 3), (4, 0)})),
@@ -86,7 +88,7 @@ class TestTypes:
          "pair {4,2} carries both an edge and an arc"),
     ], ids=["above-n", "negative-end", "loop", "loop-in-list", "negative-n", "triple",
             "mixed-above-n", "mixed-loop", "mixed-negative-n", "loop-arc",
-            "arc-above-n", "arc-negative-end", "digon", "edge-and-arc",
+            "arc-above-n", "arc-negative-end", "digon", "arc-triple", "edge-and-arc",
             "loop-arc-among-arcs", "arc-above-n-among-arcs", "edge-and-arc-among-arcs"])
     def test_constructor_rejections(self, make, message):
         with pytest.raises(ValueError) as info:

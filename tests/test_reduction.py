@@ -148,6 +148,10 @@ class TestDimacs:
     def test_parse(self):
         y = parse_dimacs("c comment\np cnf 3 1\n1 2 3 0\n")
         assert y == CnfInstance(3, ((1, 2, 3),))
+        # the graph files' line rules: blank lines and comments (a first
+        # field starting with c) anywhere; and a clause may span lines
+        y = parse_dimacs("\nc\n  p cnf 3 2\ncat\n1 2\n\n 3 0\n2 3 1 0\n")
+        assert y == CnfInstance(3, ((1, 2, 3), (2, 3, 1)))
 
     def test_negative_literal_rejected_as_non_monotone(self):
         with pytest.raises(GraphFormatError, match="monotone"):
@@ -165,23 +169,26 @@ class TestDimacs:
         with pytest.raises(GraphFormatError):
             parse_dimacs("p cnf 4 1\n1 2 3 4 0\n")
 
-    @pytest.mark.parametrize("text", [
-        "p cnf 3\n1 2 3 0\n",
-        "p dnf 3 1\n1 2 3 0\n",
-        "p cnf 3 x\n1 2 3 0\n",
-        "p cnf 3 1\np cnf 3 1\n1 2 3 0\n",
-        "c no header\n",
-        "1 2 3 0\np cnf 3 1\n",
-        "p cnf 3 1\n1 2 a 0\n",
-        "p cnf 3 1\n1 1 2 0\n",
-        "p cnf 3 1\n1 2 4 0\n",
-        "p cnf -1 0\n",
+    @pytest.mark.parametrize("text, message", [
+        ("p cnf 3\n1 2 3 0\n", "cnf header needs exactly <vars> <clauses>"),
+        ("p dnf 3 1\n1 2 3 0\n", "line 1: expected 'p cnf' header"),
+        ("p cnf 3 x\n1 2 3 0\n", "line 1: non-integer header field"),
+        ("p cnf 3 1\np cnf 3 1\n1 2 3 0\n", "line 2: non-integer literal 'p'"),
+        ("c no header\n", "missing 'p cnf' header"),
+        ("1 2 3 0\np cnf 3 1\n", "line 1: expected 'p cnf' header"),
+        ("p cnf 3 1\n1 2 a 0\n", "line 2: non-integer literal 'a'"),
+        ("p cnf 3 1\n1 1 2 0\n", "clause (1, 1, 2) repeats a variable"),
+        ("p cnf 3 1\n1 2 4 0\n", "variable 4 exceeds declared count 3"),
+        ("p cnf -1 0\n", "negative variable count"),
+        ("p cnf 3 2\n1 2 0\n1 -2 3 0\n", "clause (1, 2) does not have three literals"),
     ], ids=["header-arity", "header-kind", "header-field", "second-header",
             "missing-header", "clause-before-header", "non-integer-literal",
-            "repeated-variable", "undeclared-variable", "negative-variable-count"])
-    def test_malformed_rejected(self, text):
-        with pytest.raises(GraphFormatError):
+            "repeated-variable", "undeclared-variable", "negative-variable-count",
+            "first-fault-in-file-order"])
+    def test_malformed_rejected(self, text, message):
+        with pytest.raises(GraphFormatError) as info:
             parse_dimacs(text)
+        assert str(info.value) == message
 
 
 class TestBuildReduction:
@@ -234,6 +241,11 @@ class TestWitnessTranslation:
         _, rm = build_reduction(y)
         with pytest.raises(ValueError, match="NAE"):
             assignment_to_witness(rm, {1: True, 2: True, 3: True})
+
+    def test_partial_assignment_rejected(self):
+        _, rm = build_reduction(CnfInstance(3, ((1, 2, 3),)))
+        with pytest.raises(ValueError, match="^assignment is not total over the variables$"):
+            assignment_to_witness(rm, {1: True, 2: False})
 
     def test_empty_instance(self):
         y = CnfInstance(0)
@@ -359,10 +371,12 @@ class TestMapAndAssignmentFiles:
         ("c drop-pendants 0", "c drop-pendants 0 1", "expected 'c drop-pendants"),
         ("c drop-pendants 0", "c drop-pendants 0\nc drop-pendants 0",
          "^line 2: duplicate drop-pendants line$"),
+        ("clause 1 2 6 10", "clause 1 2 2 10", "^clause \\(1, 1, 3\\) repeats a variable$"),
     ], ids=["duplicate-clause", "duplicate-variable", "non-integer-clause",
             "non-integer-path", "unrecognised-line", "clause-gap", "variable-gap",
             "path-length", "ids-disagree-with-rebuild", "missing-flag-line",
-            "flag-yes", "flag-2", "flag-absent", "flag-extra-field", "duplicate-flag-line"])
+            "flag-yes", "flag-2", "flag-absent", "flag-extra-field", "duplicate-flag-line",
+            "repeated-variable"])
     def test_malformed_map_rejected(self, old, new, reason):
         _, rm = build_reduction(CnfInstance(3, ((1, 2, 3),)))
         text = serialize_reduction_map(rm)

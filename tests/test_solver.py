@@ -454,6 +454,9 @@ class TestDecideQt:
             (lambda: dipath_square(402), True, 402, "dipath-square-402"),
             (lambda: triangle_chain(600), True, 10, "triangle-chain-600"),
             (lambda: ROOK_3X3, False, 18, "rook-3x3"),
+            # an isolated vertex is no region: K3 alone takes the same 4 nodes
+            (lambda: Graph(4, frozenset({(0, 1), (1, 2), (0, 2)})), True, 4,
+             "triangle-and-isolated-vertex"),
         ]
         for witness in (True, False)])
     def test_node_count_pinned(self, make, answer, nodes, witness):
