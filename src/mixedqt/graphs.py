@@ -155,25 +155,53 @@ def underlying(m: MixedGraph) -> Graph:
     return Graph(m.n, m.edges | m.arc_pairs)
 
 
+def _square_edges(m: MixedGraph) -> set[Edge]:
+    """The pairs at directed distance two that no edge or arc joins, as
+    sorted tuples: the edges the square adds.
+
+    One pass over the edges and arcs builds each vertex's in-arc and out-arc
+    lists and its neighbour set in the underlying graph; then each 2-dipath
+    u -> w -> v is read off the lists of its middle vertex w.
+    """
+    n = m.n
+    ins: list[list[int]] = [[] for _ in range(n)]
+    outs: list[list[int]] = [[] for _ in range(n)]
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in m.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    for t, h in m.arcs:
+        outs[t].append(h)
+        ins[h].append(t)
+        nbrs[t].add(h)
+        nbrs[h].add(t)
+    new: set[Edge] = set()
+    for w in range(n):
+        out = outs[w]
+        if not out:
+            continue
+        for u in ins[w]:
+            near = nbrs[u]
+            for v in out:
+                if v != u and v not in near:
+                    new.add((u, v) if u < v else (v, u))
+    return new
+
+
 def mixed_square(m: MixedGraph) -> MixedGraph:
     """Add an edge between each non-adjacent pair at directed distance two.
 
     Arcs are unchanged; pairs already joined by an edge or an arc in either
-    direction gain nothing.
+    direction gain nothing.  The new edges come from one scan of per-vertex
+    arc lists (:func:`_square_edges`).
     """
-    new_edges = set(m.edges)
-    out = m.out_adj
-    for w in range(m.n):
-        for u in m.in_adj[w]:
-            for v in out[w]:
-                if u != v and not m.adjacent(u, v):
-                    new_edges.add(edge(u, v))
-    return MixedGraph(m.n, frozenset(new_edges), m.arcs)
+    return MixedGraph(m.n, m.edges | _square_edges(m), m.arcs)
 
 
 def undirected_square(m: MixedGraph) -> Graph:
-    """The simple graph underlying the mixed square."""
-    return underlying(mixed_square(m))
+    """The simple graph underlying the mixed square, built from the same scan
+    as :func:`mixed_square` with no intermediate mixed graph."""
+    return Graph(m.n, m.edges | m.arc_pairs | _square_edges(m))
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,7 @@ def parse_dimacs(text: str) -> CnfInstance:
     num_vars, num_clauses = counts
     clauses: list[tuple[int, int, int]] = []
     current: list[int] = []
+    last_line = 0  # the line of the last literal read
     for lineno, raw in lines:
         fields = raw.split()
         if not fields or fields[0][0] == "c":
@@ -201,13 +202,15 @@ def parse_dimacs(text: str) -> CnfInstance:
                     f"line {lineno}: negated literal {lit}; instances must be monotone")
             if lit:
                 current.append(lit)
+                last_line = lineno
                 continue
             if len(current) != 3:
-                raise GraphFormatError(f"clause {tuple(current)} does not have three literals")
+                raise GraphFormatError(
+                    f"line {lineno}: clause {tuple(current)} does not have three literals")
             clauses.append((current[0], current[1], current[2]))
             current = []
     if current:
-        raise GraphFormatError("last clause is not terminated by 0")
+        raise GraphFormatError(f"line {last_line}: last clause is not terminated by 0")
     if len(clauses) != num_clauses:
         raise GraphFormatError(
             f"header declares {num_clauses} clauses, body has {len(clauses)}")
@@ -360,6 +363,8 @@ def parse_reduction_map(text: str) -> ReductionMap:
     rebuilt, with no graph; any inconsistency with the file is an error.  The
     ``c drop-pendants`` line must occur exactly once, with the flag 0 or 1:
     no id in the file depends on it, so a rebuild cannot catch a wrong one.
+    Any other line whose first field starts with ``c``, except a ``clause``
+    record, is a comment, as in graph files.
     """
     drop_pendants: bool | None = None
     clause_lines: dict[int, tuple[int, ...]] = {}
@@ -369,8 +374,8 @@ def parse_reduction_map(text: str) -> ReductionMap:
         if not line:
             continue
         fields = line.split()
-        if fields[0] == "c":
-            if len(fields) > 1 and fields[1] == "drop-pendants":
+        if fields[0][0] == "c" and fields[0] != "clause":
+            if fields[0] == "c" and len(fields) > 1 and fields[1] == "drop-pendants":
                 if drop_pendants is not None:
                     raise GraphFormatError(f"line {lineno}: duplicate drop-pendants line")
                 if len(fields) != 3 or fields[2] not in ("0", "1"):

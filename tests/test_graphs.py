@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import networkx as nx
@@ -11,6 +12,7 @@ from mixedqt.graphs import (
     _articulation_points,
     _components_of,
     delete_vertices,
+    edge,
     find_odd_cycle,
     girth,
     mixed_square,
@@ -172,6 +174,31 @@ class TestMixedSquare:
     def test_arc_free_graph_unchanged(self):
         m = MixedGraph(4, edges=cycle_graph(4).edges)
         assert undirected_square(m) == cycle_graph(4)
+
+    @staticmethod
+    def _check_squares(m):
+        # the two squares are built separately; both must add exactly the
+        # non-adjacent ends of the 2-dipaths, read here from the arc list
+        adjacent = m.edges | m.arc_pairs
+        added = {edge(u, v) for (u, w) in m.arcs for (x, v) in m.arcs
+                 if w == x and u != v and edge(u, v) not in adjacent}
+        sq = mixed_square(m)
+        assert sq.edges == m.edges | added and sq.arcs == m.arcs
+        assert undirected_square(m) == underlying(sq)
+
+    @given(mixed_graphs())
+    def test_undirected_square_is_underlying_mixed_square(self, m):
+        self._check_squares(m)
+
+    @pytest.mark.parametrize("n, d", [(40, 8.0), (60, 7.0), (80, 7.0)])
+    def test_dense_random_squares(self, n, d):
+        from mixedqt.generate import random_oriented
+
+        rng = random.Random(f"square/{n}/{d}")
+        root = random_oriented(n, d, rng)
+        free = sorted(set(combinations(range(n), 2)) - root.arc_pairs)
+        m = MixedGraph(n, frozenset(rng.sample(free, 10)), root.arcs)
+        self._check_squares(m)
 
     @given(mixed_graphs())
     def test_square_grows_underlying(self, m):

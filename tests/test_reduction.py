@@ -180,11 +180,15 @@ class TestDimacs:
         ("p cnf 3 1\n1 1 2 0\n", "clause (1, 1, 2) repeats a variable"),
         ("p cnf 3 1\n1 2 4 0\n", "variable 4 exceeds declared count 3"),
         ("p cnf -1 0\n", "negative variable count"),
-        ("p cnf 3 2\n1 2 0\n1 -2 3 0\n", "clause (1, 2) does not have three literals"),
+        ("p cnf 3 2\n1 2 0\n1 -2 3 0\n", "line 2: clause (1, 2) does not have three literals"),
+        # a short clause names the line of its 0, an unterminated one the
+        # line of its last literal
+        ("p cnf 3 2\n1 2 3 0\n1 2\n\n0\n", "line 5: clause (1, 2) does not have three literals"),
+        ("p cnf 3 1\n1 2\n3\n\nc end\n", "line 3: last clause is not terminated by 0"),
     ], ids=["header-arity", "header-kind", "header-field", "second-header",
             "missing-header", "clause-before-header", "non-integer-literal",
             "repeated-variable", "undeclared-variable", "negative-variable-count",
-            "first-fault-in-file-order"])
+            "first-fault-in-file-order", "short-clause", "unterminated-clause"])
     def test_malformed_rejected(self, text, message):
         with pytest.raises(GraphFormatError) as info:
             parse_dimacs(text)
@@ -330,7 +334,8 @@ class TestMapAndAssignmentFiles:
 
     def test_other_comments_ignored(self):
         _, rm = build_reduction(CnfInstance(3, ((1, 2, 3),)), drop_pendants=True)
-        text = "c written by hand\n\n" + serialize_reduction_map(rm) + "  c trailing note\n"
+        text = ("c written by hand\ncomment drop-pendants 0\ncx\n\n"
+                + serialize_reduction_map(rm) + "  c trailing note\n")
         assert parse_reduction_map(text) == rm
 
     @pytest.mark.parametrize("drop", [False, True])
