@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from typing import Callable
@@ -289,6 +290,13 @@ _COMMANDS = {
 
 
 def run(argv: list[str]) -> int:
+    """Parse ``argv``, run its command and return the exit code.
+
+    The command runs with the cyclic garbage collector paused: reference
+    counting alone frees everything the commands build, so the collector's
+    passes during a call would walk live objects and free nothing.  On the
+    way out the collector is enabled again only if it was enabled on entry.
+    """
     parser, commands = _build_parser()
     command = commands.get(argv[0]) if argv else None
     try:
@@ -300,12 +308,17 @@ def run(argv: list[str]) -> int:
                 parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:  # GraphFormatError is a ValueError
         message = str(exc)
     except MemoryError:  # printed below, once the failed call's frames are freed
         message = "out of memory"
+    finally:
+        if collecting:
+            gc.enable()
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
 

@@ -10,10 +10,19 @@ Mixed-graph files use ``p mixed <n> <m_edges> <m_arcs>`` with ``e`` lines for
 edges and ``a <tail> <head>`` lines for arcs.  Vertices are 0-indexed.
 Serialisation is canonical (sorted body lines), so parse o serialize is the
 identity on canonical files.
+
+A text in the exact form the serialisers write (single spaces, ASCII
+digits, ``\n`` after every line, edges before arcs, no comment or blank
+line) is read in bulk: one regular expression over the whole text and one
+``split()`` of its records.  Any other text, and any canonical-looking text
+that fails a check (a duplicate, a loop, a count or range fault), goes to
+the line reader, which alone reports errors, so both paths give the same
+graph or the same message.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Any, Callable, Iterator
 
 from .graphs import Graph, MixedGraph
@@ -82,7 +91,56 @@ def _read_body(lines: Iterator[tuple[int, str]], kinds: str) -> dict[str, set[tu
     return found
 
 
+# The serialisers' canonical forms; ``[0-9]`` admits ASCII digits only.  The
+# record repeats are possessive (``*+``, ``++``): a greedy repeat would keep
+# backtracking state for every line, some 350 bytes a line until the match ends.
+_CANONICAL_GRAPH = re.compile(r"p graph ([0-9]+) ([0-9]+)\n((?:e [0-9]++ [0-9]++\n)*+)")
+_CANONICAL_MIXED = re.compile(r"p mixed ([0-9]+) ([0-9]+) ([0-9]+)\n"
+                              r"((?:e [0-9]++ [0-9]++\n)*+)((?:a [0-9]++ [0-9]++\n)*+)")
+
+
+def _pairs(block: str) -> frozenset[tuple[int, int]]:
+    """The endpoint pairs of a canonical block of ``<kind> <x> <y>`` lines,
+    as written."""
+    fields = block.split()
+    return frozenset(zip(map(int, fields[1::3]), map(int, fields[2::3])))
+
+
+def _parse_canonical_graph(text: str) -> Graph | None:
+    """The graph of a text in canonical form, or None when the text is not in
+    that form or fails a check, for the line reader to read or reject."""
+    match = _CANONICAL_GRAPH.fullmatch(text)
+    if match is None:
+        return None
+    n, m, block = match.groups()
+    try:
+        g = Graph(int(n), _pairs(block))
+        declared = int(m)
+    except ValueError:  # a loop or range fault, or a number too long for int()
+        return None
+    # as many distinct edges as lines, and as the header declares
+    return g if len(g.edges) == declared == block.count("\n") else None
+
+
+def _parse_canonical_mixed(text: str) -> MixedGraph | None:
+    """:func:`_parse_canonical_graph` for mixed graphs."""
+    match = _CANONICAL_MIXED.fullmatch(text)
+    if match is None:
+        return None
+    n, me, ma, edges, arcs = match.groups()
+    try:
+        mg = MixedGraph(int(n), _pairs(edges), _pairs(arcs))
+        declared = int(me), int(ma)
+    except ValueError:  # a loop, digon, shared pair or range fault, or a long number
+        return None
+    found = (len(mg.edges), len(mg.arcs))
+    return mg if found == declared == (edges.count("\n"), arcs.count("\n")) else None
+
+
 def parse_graph(text: str) -> Graph:
+    g = _parse_canonical_graph(text)
+    if g is not None:
+        return g
     lines = enumerate(text.splitlines(), start=1)
     counts = _read_header(lines, "graph", "empty graph file")
     if len(counts) != 2:
@@ -95,6 +153,9 @@ def parse_graph(text: str) -> Graph:
 
 
 def parse_mixed(text: str) -> MixedGraph:
+    mg = _parse_canonical_mixed(text)
+    if mg is not None:
+        return mg
     lines = enumerate(text.splitlines(), start=1)
     counts = _read_header(lines, "mixed", "empty mixed-graph file")
     if len(counts) != 3:

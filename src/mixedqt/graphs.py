@@ -137,12 +137,6 @@ class MixedGraph:
             ins[h].add(t)
         return tuple(frozenset(s) for s in ins)
 
-    def adjacent(self, u: int, v: int) -> bool:
-        """True when u and v are joined by an edge or an arc in either direction."""
-        if u == v:
-            return False
-        return edge(u, v) in self.edges or (u, v) in self.arcs or (v, u) in self.arcs
-
     def __repr__(self) -> str:
         return f"MixedGraph(n={self.n}, edges={len(self.edges)}, arcs={len(self.arcs)})"
 

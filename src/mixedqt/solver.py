@@ -122,15 +122,21 @@ QtViolation = Union[InducedTwoDipath, UncoveredEdge]
 
 
 def is_qt(m: MixedGraph) -> QtViolation | None:
-    """None when the mixed graph is quasi-transitive, else the first violation."""
-    out, inn = m.out_adj, m.in_adj
+    """None when the mixed graph is quasi-transitive, else the first violation:
+    the first 2-dipath u -> w -> v in (w, u, v) order whose ends are not
+    adjacent, else the first uncovered edge."""
+    out_adj, in_adj = m.out_adj, m.in_adj
+    pairs = m.edges | m.arc_pairs   # the adjacent pairs, as sorted tuples
     for w in range(m.n):
-        for u in sorted(inn[w]):
-            for v in sorted(out[w]):
-                if u != v and not m.adjacent(u, v):
+        if not out_adj[w]:
+            continue
+        heads = sorted(out_adj[w])
+        for u in sorted(in_adj[w]):
+            for v in heads:
+                if v != u and ((u, v) if u < v else (v, u)) not in pairs:
                     return InducedTwoDipath(u, w, v)
     for u, v in sorted(m.edges):
-        if not ((out[u] & inn[v]) or (out[v] & inn[u])):
+        if out_adj[u].isdisjoint(in_adj[v]) and out_adj[v].isdisjoint(in_adj[u]):
             return UncoveredEdge(u, v)
     return None
 

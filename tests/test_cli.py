@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import mixedqt
+import mixedqt.cli as cli_module
 import mixedqt.solver as solver_module
 from mixedqt.cli import _build_parser, run
 from mixedqt.formats import parse_graph, parse_mixed, serialize_graph, serialize_mixed
@@ -598,6 +600,67 @@ def test_extract_rejects_malformed_map(tmp_path, capsys):
     capsys.readouterr()
     assert run(["extract", str(tmp_path / "oc.map"), str(tmp_path / "oc.mixed")]) == 2
     assert "duplicate clause" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv,code", [
+    ("decide {fx}/k4.graph", 0),
+    ("decide {fx}/c5.graph", 1),
+    ("decide {tmp}/missing.graph", 2),
+    ("decide {fx}/one_clause.cnf", 2),
+    ("decide {fx}/k5.graph --node-limit 1", 3),
+], ids=["yes", "no", "unreadable", "malformed", "budget"])
+def test_collector_state_is_restored(tmp_path, capsys, collecting, argv, code):
+    # the command runs with the collector paused, and the caller's setting,
+    # on or off, is back on every exit
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert run([a.format(fx=FIXTURES, tmp=tmp_path) for a in argv.split()]) == code
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+
+
+def test_collector_state_is_restored_when_a_command_raises(monkeypatch):
+    def crash(args):
+        assert not gc.isenabled()
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli_module._COMMANDS, "decide", crash)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="boom"):
+        run(["decide", fx("k4.graph")])
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("argv", [
+    "decide {fx}/k4.graph",
+    "decide {fx}/c5.graph",
+    "decide {fx}/k5.graph --node-limit 1",
+    "decide {fx}/one_clause.cnf",
+    "decide {fx}/resplit.graph --witness {tmp}/w.mixed",
+    "decide {fx}/c6.graph --method girth4 --witness {tmp}/w.mixed",
+    "decide {fx}/house.graph --method deg3 --witness {tmp}/w.mixed --dot {tmp}/w.dot",
+    "verify {fx}/k4.graph {tmp}/k4.mixed",
+    "square {tmp}/k4.mixed --mixed-output",
+    "embed {fx}/c5.graph --root {tmp}/root.mixed",
+    "reduce {fx}/one_clause.cnf --map {tmp}/r.map",
+    "extract {tmp}/oc.map {tmp}/oc.mixed",
+], ids=["decide-yes", "decide-no", "decide-budget", "decide-malformed", "decide-witness", "decide-girth4-witness",
+        "decide-deg3-witness", "verify", "square", "embed", "reduce", "extract"])
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys, argv):
+    # reference counting frees all a command builds, so pausing the
+    # collector skips its passes and leaves nothing for a later collection
+    _write_inputs(tmp_path)
+    argv = [a.format(fx=FIXTURES, tmp=tmp_path) for a in argv.split()]
+    run(argv)  # warm-up: the cached parser, first-call imports
+    gc.disable()
+    try:
+        gc.collect()
+        run(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestUsage:

@@ -1,6 +1,10 @@
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
+from mixedqt import formats
 from mixedqt.formats import (
     GraphFormatError,
     graph_to_dot,
@@ -126,9 +130,10 @@ def test_dot_mixed_distinguishes_edges_from_arcs():
     ("p graph\n", "graph header needs exactly <n> <m>"),
     ("p graph 2 x\n", "line 1: non-integer header field"),
     ("c only a comment\n  \n", "empty graph file"),
+    ("p graph ² 1\ne 0 1\n", "line 1: non-integer header field"),
 ], ids=["loop", "reversed-duplicate", "non-integer-endpoint", "unknown-record",
         "long-record", "count-mismatch", "wrong-kind", "late-header", "out-of-range",
-        "header-arity", "non-integer-header", "no-header"])
+        "header-arity", "non-integer-header", "no-header", "non-ascii-header-digit"])
 def test_graph_error_messages(text, message):
     with pytest.raises(GraphFormatError) as info:
         parse_graph(text)
@@ -148,9 +153,10 @@ def test_graph_error_messages(text, message):
     ("p mixed 2 0 1\na 1 1\n", "loop arc at vertex 1"),
     ("p mixed 2 1\ne 0 1\n", "mixed header needs exactly <n> <m_edges> <m_arcs>"),
     ("", "empty mixed-graph file"),
+    ("p mixed ² 0 1\na 0 1\n", "line 1: non-integer header field"),
 ], ids=["loop", "reversed-duplicate", "duplicate-arc", "non-integer-endpoint",
         "unknown-record", "count-mismatch", "wrong-kind", "arc-out-of-range",
-        "edge-out-of-range", "loop-arc", "header-arity", "empty"])
+        "edge-out-of-range", "loop-arc", "header-arity", "empty", "non-ascii-header-digit"])
 def test_mixed_error_messages(text, message):
     with pytest.raises(GraphFormatError) as info:
         parse_mixed(text)
@@ -169,3 +175,111 @@ def test_line_numbers_count_skipped_lines():
     text = "c one\n\np graph 3 2\nc four\ne 0 1\n\ne 1 0\n"
     with pytest.raises(GraphFormatError, match="^line 7: duplicate edge 1 0$"):
         parse_graph(text)
+
+
+
+# ---------------------------------------------------------------------------
+# The bulk reader of canonical text against the line reader
+
+FIXTURES = Path(__file__).parent / "fixtures"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ARABIC_INDIC = "٠١٢٣٤٥٦٧٨٩"
+
+
+@pytest.fixture(scope="module")
+def canonical_texts():
+    """Canonical graph and mixed-graph texts: the fixtures, every seed-1
+    benchmark ladder graph, and each of these with a seeded random choice of
+    edges made arcs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))
+        import ladders
+
+        corpus = [r.graph for build in ladders.LADDERS.values() for r in build(1)]
+    corpus += [parse_graph(p.read_text()) for p in sorted(FIXTURES.glob("*.graph"))]
+    corpus += [Graph(0), Graph(3)]
+    corpus = list(dict.fromkeys(corpus))
+    rng = random.Random("canonical-texts")
+    mixed = []
+    for g in corpus:
+        kept, arcs = set(), set()
+        for u, v in sorted(g.edges):
+            choice = rng.randrange(3)
+            (kept if choice == 0 else arcs).add((u, v) if choice < 2 else (v, u))
+        mixed.append(MixedGraph(g.n, frozenset(kept), frozenset(arcs)))
+    return [serialize_graph(g) for g in corpus], [serialize_mixed(m) for m in mixed]
+
+
+def _read_both(parse, text):
+    """``parse`` on ``text`` and on ``text`` with a comment line after it,
+    which only the line reader reads: both must give the same graph or the
+    same message, which is returned."""
+    results = []
+    for t in (text, text + ("" if text.endswith("\n") else "\n") + "c\n"):
+        try:
+            results.append(parse(t))
+        except GraphFormatError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1], text
+    return results[0]
+
+
+def _mutants(text: str, rng: random.Random) -> list[str]:
+    """Texts one fault or one non-canonical detail away from ``text``, a
+    canonical text with at least one record, each at a random record."""
+    header, *body = text.splitlines()
+    fields = header.split()
+    i = rng.randrange(len(body))
+    kind, u, v = body[i].split()
+    other = "a" if kind == "e" else "e"
+    n = int(fields[2])
+
+    def line(*new: str) -> str:
+        return "\n".join([header, *body[:i], *new, *body[i + 1:]]) + "\n"
+
+    def head(*counts: str) -> str:
+        return "\n".join([" ".join(fields[:2] + list(counts)), *body]) + "\n"
+
+    return [
+        line(f"{kind} {v} {u}"),                            # reversed pair
+        line(body[i], body[i]),                             # duplicate
+        line(body[i], f"{kind} {v} {u}"),                   # reversed duplicate, a digon for arcs
+        line(body[i], f"{other} {u} {v}"),                  # the same pair as both kinds
+        line(f"{kind} {u} {u}"),                            # loop
+        line(f"{kind} {u} {n}"),                            # out of range
+        line(f"{kind} -1 {v}"),                             # negative endpoint
+        line(f"{kind} {u} {'9' * 5000}"),                   # too long for int()
+        line(f"{kind} {u} {v} {v}"),                        # four fields
+        line(f"{kind} 0{u} 00{v}"),                         # leading zeros
+        line(f"{kind} +{u} {v}"),                           # a sign
+        line(f"{kind} {u} {''.join(ARABIC_INDIC[int(d)] for d in v)}"),  # non-ASCII digits
+        line(f"{kind}  {u} {v} "),                          # extra spaces
+        line(),                                             # a record short of the header
+        "\n".join([header, body[-1], *body[:-1]]) + "\n",   # the last record first
+        text.replace("\n", "\r\n"),                         # CRLF endings
+        text[:-1],                                          # no final newline
+        head("²", *fields[3:]),                             # non-ASCII digit in the header
+        head("".join(ARABIC_INDIC[int(d)] for d in fields[2]), *fields[3:]),
+        head("9" * 5000, *fields[3:]),
+        head(*fields[2:-1], str(int(fields[-1]) + 1)),     # a count one too high
+    ]
+
+
+def test_bulk_and_line_readers_agree(canonical_texts):
+    # canonical text takes the bulk path; a trailing comment sends the same
+    # text to the line reader, and every mutant must read alike both ways
+    graph_texts, mixed_texts = canonical_texts
+    rng = random.Random(20261020)
+    outcomes = set()
+    for texts, parse, bulk, serialize in (
+            (graph_texts, parse_graph, formats._parse_canonical_graph, serialize_graph),
+            (mixed_texts, parse_mixed, formats._parse_canonical_mixed, serialize_mixed)):
+        for text in texts:
+            value = _read_both(parse, text)
+            assert bulk(text) == value and serialize(value) == text
+        mutated = [t for t in texts if t.count("\n") > 1]
+        for text in rng.sample(mutated, 24):
+            for mutant in _mutants(text, rng):
+                outcomes.add(type(_read_both(parse, mutant)))
+    assert outcomes == {Graph, MixedGraph, str}
+
