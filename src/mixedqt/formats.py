@@ -13,19 +13,23 @@ identity on canonical files.
 
 A text in the exact form the serialisers write (single spaces, ASCII
 digits, ``\n`` after every line, edges before arcs, no comment or blank
-line) is read in bulk: one regular expression over the whole text and one
-``split()`` of its records.  Any other text, and any canonical-looking text
-that fails a check (a duplicate, a loop, a count or range fault), goes to
-the line reader, which alone reports errors, so both paths give the same
-graph or the same message.
+line) is read in bulk: one regular expression over the whole text, and one
+``json.loads`` of each block of records rewritten as a JSON array, which
+converts all its numbers at once.  Any other text, and any canonical-looking
+text that fails a check (a number JSON rejects, such as one with a leading
+zero, a duplicate, a loop, a count or range fault), goes to the line reader,
+which alone reports errors, so both paths give the same graph or the same
+message.
 """
 
 from __future__ import annotations
 
+import json
 import re
+from operator import lt
 from typing import Any, Callable, Iterator
 
-from .graphs import Graph, MixedGraph
+from .graphs import Graph, MixedGraph, _unchecked
 
 
 class GraphFormatError(ValueError):
@@ -99,27 +103,38 @@ _CANONICAL_MIXED = re.compile(r"p mixed ([0-9]+) ([0-9]+) ([0-9]+)\n"
                               r"((?:e [0-9]++ [0-9]++\n)*+)((?:a [0-9]++ [0-9]++\n)*+)")
 
 
-def _pairs(block: str) -> frozenset[tuple[int, int]]:
-    """The endpoint pairs of a canonical block of ``<kind> <x> <y>`` lines,
-    as written."""
-    fields = block.split()
-    return frozenset(zip(map(int, fields[1::3]), map(int, fields[2::3])))
+def _columns(block: str) -> tuple[list[int], list[int]]:
+    """The two endpoint columns of a canonical block of ``<kind> <x> <y>``
+    lines, as written.  The regular expression admits only ASCII digits and
+    single spaces there, so the block less its kind letters, with a comma
+    for each separator, is a JSON array of the numbers.  Raises ValueError
+    for a number JSON rejects (a leading zero) or ``int()`` cannot convert
+    (too many digits)."""
+    numbers = json.loads("[" + block[2:-1].replace("\n" + block[:2], ",").replace(" ", ",") + "]")
+    return numbers[0::2], numbers[1::2]
 
 
 def _parse_canonical_graph(text: str) -> Graph | None:
     """The graph of a text in canonical form, or None when the text is not in
-    that form or fails a check, for the line reader to read or reject."""
+    that form or fails a check, for the line reader to read or reject.
+
+    The checks run over whole columns: every edge written low end first,
+    which rules out a loop, and the largest end below n.  The graph is then
+    built without :class:`Graph`'s own pass over its edges."""
     match = _CANONICAL_GRAPH.fullmatch(text)
     if match is None:
         return None
     n, m, block = match.groups()
     try:
-        g = Graph(int(n), _pairs(block))
-        declared = int(m)
-    except ValueError:  # a loop or range fault, or a number too long for int()
+        us, vs = _columns(block)
+        count, declared = int(n), int(m)
+    except ValueError:  # a leading zero, or a number too long for int()
         return None
+    if not (all(map(lt, us, vs)) and max(vs, default=-1) < count):
+        return None
+    edges = frozenset(zip(us, vs))
     # as many distinct edges as lines, and as the header declares
-    return g if len(g.edges) == declared == block.count("\n") else None
+    return _unchecked(Graph, n=count, edges=edges) if len(edges) == declared == len(us) else None
 
 
 def _parse_canonical_mixed(text: str) -> MixedGraph | None:
@@ -129,12 +144,13 @@ def _parse_canonical_mixed(text: str) -> MixedGraph | None:
         return None
     n, me, ma, edges, arcs = match.groups()
     try:
-        mg = MixedGraph(int(n), _pairs(edges), _pairs(arcs))
+        e_cols, a_cols = _columns(edges), _columns(arcs)
+        mg = MixedGraph(int(n), frozenset(zip(*e_cols)), frozenset(zip(*a_cols)))
         declared = int(me), int(ma)
-    except ValueError:  # a loop, digon, shared pair or range fault, or a long number
+    except ValueError:  # a loop, digon, shared pair or range fault, or a bad number
         return None
     found = (len(mg.edges), len(mg.arcs))
-    return mg if found == declared == (edges.count("\n"), arcs.count("\n")) else None
+    return mg if found == declared == (len(e_cols[0]), len(a_cols[0])) else None
 
 
 def parse_graph(text: str) -> Graph:

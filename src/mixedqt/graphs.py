@@ -12,10 +12,11 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence, TypeVar
 
 Edge = tuple[int, int]
 Arc = tuple[int, int]
+T = TypeVar("T")
 
 
 def edge(u: int, v: int) -> Edge:
@@ -64,11 +65,7 @@ class Graph:
 
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(map(frozenset, nbrs))
+        return tuple(map(frozenset, _neighbour_lists(self)))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -78,6 +75,41 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
+
+
+def _neighbour_lists(g: Graph) -> list[list[int]]:
+    """Each vertex's neighbours as a list, in the order of ``g.edges``: what
+    :attr:`Graph.adj` freezes."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
+def _neighbours(g: Graph) -> Sequence[Iterable[int]]:
+    """``g.adj`` when it is built already, else :func:`_neighbour_lists`,
+    which :func:`_frozen_adj` can freeze into ``g.adj`` later."""
+    adj = g.__dict__.get("adj")
+    return _neighbour_lists(g) if adj is None else adj
+
+
+def _frozen_adj(g: Graph, nbrs: Sequence[Iterable[int]]) -> tuple[frozenset[int], ...]:
+    """``g.adj``, frozen from ``nbrs`` (what :func:`_neighbours` gave for g)
+    when it is not built yet, so the neighbour lists are built once."""
+    adj = g.__dict__.get("adj")
+    if adj is None:
+        adj = g.__dict__["adj"] = tuple(map(frozenset, nbrs))
+    return adj
+
+
+def _unchecked(cls: type[T], **fields: object) -> T:
+    """An instance of the frozen dataclass ``cls`` with these fields, made
+    without its ``__post_init__`` checks: only for values that are valid by
+    construction, never for input."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -207,18 +239,20 @@ def triangle_free_edges(g: Graph) -> frozenset[Edge]:
     return frozenset(e for e in g.edges if adj[e[0]].isdisjoint(adj[e[1]]))
 
 
-def _two_colour(vertices: Sequence[int], adj: Sequence[AbstractSet[int]]
+def _two_colour(vertices: Sequence[int], adj: Sequence[Iterable[int]]
                 ) -> tuple[list[int], list[int | None], list[int], tuple[int, int] | None]:
     """Breadth-first 2-colouring of the graph ``adj`` induces on ``vertices``,
     rooting each component at its first vertex in the order of ``vertices``.
 
-    ``adj`` is indexed by vertex.  Returns lists indexed by vertex of the
-    colours (2 outside ``vertices``, -1 where unreached) and the BFS parents
-    (None at a root); the vertices in the order reached, each root before
+    ``adj`` is indexed by vertex, and each entry may be any iterable of
+    neighbours: a set, or a list such as :func:`_neighbour_lists` builds.
+    Returns lists indexed by vertex of the colours (2 outside ``vertices``,
+    -1 where unreached) and the BFS parents (None at a root); the vertices in the order reached, each root before
     the rest of its tree; and the first edge found with both ends the same
     colour (None when the graph is bipartite), where the search stops.
-    Neighbours are met in set order: on a bipartite graph no colour depends
-    on it, only which clash, and so which odd cycle, is found on one that is not.
+    Neighbours are met in the order of ``adj``: on a bipartite graph no
+    colour depends on it, only which clash, and so which odd cycle, is found
+    on one that is not.
     """
     colour = [2] * len(adj)  # 2 outside ``vertices``: never reached, never a clash
     for v in vertices:

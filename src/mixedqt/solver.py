@@ -66,7 +66,14 @@ the classes in its final conflict, the empty clause when it has no pin
 (lazy clause generation), and the CNF is solved again, until every region
 holds or it has no model.  A 2-colouring of G comes first: a bipartite
 graph has no triangle, and each edge becomes the arc from colour 0 to colour
-1; an odd cycle in a graph with no triangle is a NO before any search.
+1; an odd cycle in a graph with no triangle is a NO before any search.  The
+colouring runs over neighbour lists, which are frozen into ``g.adj`` only
+when it meets an odd cycle.
+
+The witnesses :func:`decide_qt` builds are valid by construction, so they
+are made without the checks of :class:`MixedGraph` and
+:class:`PartialOrientation`.  Those classes' constructors, and the readers
+of :mod:`mixedqt.formats`, check every value that comes from outside.
 """
 
 from __future__ import annotations
@@ -76,12 +83,16 @@ from enum import Enum
 from typing import Iterable, Iterator, Literal, Union, overload
 
 from .graphs import (
+    Arc,
     Edge,
     Graph,
     MixedGraph,
     _articulation_points,
     _components_of,
+    _frozen_adj,
+    _neighbours,
     _two_colour,
+    _unchecked,
     edge,
     triangle_free_edges,
 )
@@ -517,11 +528,20 @@ class _ClassSearch:
         return result
 
 
+def _witness(g: Graph, kept: frozenset[Edge], arcs: frozenset[Arc]) -> PartialOrientation:
+    """The partial orientation of g that keeps ``kept`` and orients every
+    other edge of g once, as in ``arcs``, built without the checks of
+    :class:`MixedGraph` and :class:`PartialOrientation`: the solver builds
+    it valid, and the arcs' pairs are the edges not kept."""
+    mixed = _unchecked(MixedGraph, n=g.n, edges=kept, arcs=arcs, arc_pairs=g.edges - kept)
+    return _unchecked(PartialOrientation, base=g, mixed=mixed)
+
+
 def _arcs_by_colour(g: Graph, colour: list[int]) -> PartialOrientation:
     """Each edge of g as the arc from colour 0 to colour 1 of a proper
     2-colouring, so every vertex is a source or a sink."""
     arcs = frozenset((u, v) if colour[u] == 0 else (v, u) for u, v in g.edges)
-    return PartialOrientation(g, MixedGraph(g.n, frozenset(), arcs))
+    return _witness(g, frozenset(), arcs)
 
 
 def _regions(vertices: Iterable[int], adj: tuple[frozenset[int], ...],
@@ -557,14 +577,16 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None, *,
     inputs and options produce identical witnesses.  Raises :class:`BudgetExceeded`
     when a node limit is configured and hit, which is distinct from a NO answer.
     """
-    colour, _parent, _order, clash = _two_colour(range(g.n), g.adj)
+    nbrs = _neighbours(g)
+    colour, _parent, _order, clash = _two_colour(range(g.n), nbrs)
     if clash is None:  # no triangle, and the general path would take twice as long
         return _arcs_by_colour(g, colour) if witness else True
+    adj = _frozen_adj(g, nbrs)
+    del nbrs   # the lists are frozen into g.adj, or were g.adj already
     free = triangle_free_edges(g)
     if len(free) == len(g.edges):
         return None  # an odd cycle and no triangle: no region to search
     opts = opts or SolveOptions()
-    adj = g.adj
     fixed = {v for e in free for v in e}
     regions = _regions((v for v in range(g.n) if adj[v]), adj, fixed)  # no lone vertex
     final = []
@@ -615,4 +637,4 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None, *,
             if u < v and v in fixed:
                 kept.discard((u, v))
                 arcs.add((u, v) if source else (v, u))
-    return PartialOrientation(g, MixedGraph(g.n, frozenset(kept), frozenset(arcs)))
+    return _witness(g, frozenset(kept), frozenset(arcs))

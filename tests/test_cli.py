@@ -570,24 +570,33 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
     assert err.startswith("error: [Errno 2] No such file or directory: ") and "nodir" in err
 
 
-@pytest.mark.parametrize("command, text", [
-    ("decide", "p graph 100000000 0\n"),
-    ("reduce", "p cnf 50000000 0\n"),
-], ids=["decide-1e8-vertices", "reduce-5e7-variables"])
-def test_out_of_memory_is_usage_error(tmp_path, command, text):
+@pytest.mark.parametrize("args, text, expected", [
+    ("decide", "p graph 100000000 0\n", (2, "", "error: out of memory\n")),
+    ("reduce", "p cnf 50000000 0\n", (2, "", "error: out of memory\n")),
+    # a million lone vertices fit: the 2-colouring answers YES over one
+    # neighbour list per vertex, with no neighbour set built
+    ("decide", "p graph 1000000 0\n", (0, "YES\n", "")),
+    ("decide --witness {tmp}/w.mixed", "p graph 1000000 0\n", (0, "YES\n", "")),
+], ids=["decide-1e8-vertices", "reduce-5e7-variables", "decide-1e6-vertices",
+        "decide-1e6-vertices-witness"])
+def test_out_of_memory_is_usage_error(tmp_path, args, text, expected):
     # a tiny file can ask for more memory than there is: each run gets a
-    # 256 MB address-space cap, so it fails fast and never strains the machine
+    # 256 MB address-space cap, so it fails fast and never strains the
+    # machine, and a run that fits under it answers as usual
     path = tmp_path / "big"
     path.write_text(text)
 
     def cap() -> None:
         resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
 
+    command, *options = args.format(tmp=tmp_path).split()
     src = str(Path(mixedqt.__file__).parent.parent)
     done = subprocess.run(
-        [sys.executable, "-m", "mixedqt.cli", command, str(path)],
+        [sys.executable, "-m", "mixedqt.cli", command, str(path), *options],
         capture_output=True, text=True, preexec_fn=cap, env={"PYTHONPATH": src}, timeout=120)
-    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
+    assert (done.returncode, done.stdout, done.stderr) == expected
+    if options:
+        assert (tmp_path / "w.mixed").read_text() == "p mixed 1000000 0 0\n"
 
 
 def test_extract_rejects_malformed_map(tmp_path, capsys):

@@ -21,6 +21,7 @@ from mixedqt.graphs import (
     Graph,
     MixedGraph,
     edge,
+    find_odd_cycle,
     mixed_square,
     underlying,
     undirected_square,
@@ -59,6 +60,7 @@ from helpers import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 COMPLETE_5 = CnfInstance(5, tuple(combinations(range(1, 6), 3)))
 # K3 x K3, the line graph of K_{3,3}: every edge lies in a triangle, so its
 # one region has no pin
@@ -513,6 +515,35 @@ class TestDecideQt:
             w = decide_qt(g)
             assert w is not None
             assert hashlib.sha256(serialize_mixed(w.mixed).encode()).hexdigest() == digest
+
+    def test_witness_equals_checked_build(self, monkeypatch):
+        # decide_qt builds its orientations without the constructors' checks:
+        # each must equal the one the checked constructors build from its
+        # parts, arc_pairs included, which equality does not compare.  Every
+        # graph is a fresh copy, so the 2-colouring runs over neighbour lists
+        monkeypatch.syspath_prepend(str(BENCH))
+        import ladders
+
+        corpus = [(r.graph, r.node_limit) for build in ladders.LADDERS.values() for r in build(1)]
+        corpus += [(parse_graph(p.read_text()), None) for p in sorted(FIXTURES.glob("*.graph"))]
+        corpus += [(g, None) for g in connected_graphs(6)]
+        paths = Counter()
+        for graph, limit in corpus:
+            g = Graph(graph.n, graph.edges)
+            try:
+                w = decide_qt(g, SolveOptions(node_limit=limit))
+            except BudgetExceeded:
+                continue
+            if w is None:
+                continue
+            bipartite = "adj" not in g.__dict__   # no neighbour set was needed
+            assert bipartite == (find_odd_cycle(g) is None)
+            m = w.mixed
+            rebuilt = PartialOrientation(g, MixedGraph(g.n, m.edges, m.arcs))
+            assert w == rebuilt
+            assert m.arc_pairs == rebuilt.mixed.arc_pairs
+            paths[bipartite] += 1
+        assert paths[True] >= 80 and paths[False] >= 300, paths
 
     def test_region_engine_agrees_with_enumeration(self, rng):
         # the CNF of one region shape, solved under two patterns of pins in
