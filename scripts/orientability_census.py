@@ -2,14 +2,16 @@
 """Census of orientability over exhaustive small-graph corpora.
 
 Sweeps every connected graph up to a vertex bound (one representative per
-isomorphism class), under a degree-3 bound, a triangle-free restriction or
-none (``--family all``), and tabulates how many admit a quasi-transitive
+isomorphism class), under a degree-3 bound, a triangle-free restriction, a
+maximum degree of exactly four (``--family deg4``, the case the paper leaves
+open: recognition is polynomial at degree three and NP-complete from five)
+or none (``--family all``), and tabulates how many admit a quasi-transitive
 partial orientation.  Every graph is decided by the exact solver, with and
-without building a witness, by the family's polynomial deciders where they
-apply (in both families, the degree-3 decider at maximum degree three and
-the bipartiteness decider when there is no triangle), and by exhaustive
-enumeration where the edge cap allows; disagreements are reported, and the
-exit status is 1 when there is any.
+without building a witness, by the polynomial deciders where they apply
+(the degree-3 decider at maximum degree three and the bipartiteness
+decider when there is no triangle, in every family but ``all``), and by
+exhaustive enumeration where the edge cap allows; disagreements are
+reported, and the exit status is 1 when there is any.
 """
 
 import argparse
@@ -27,13 +29,15 @@ from mixedqt.structure import decide_deg3, decide_girth4, removable_vertices
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=7)
-    parser.add_argument("--family", choices=["deg3", "triangle-free", "all"], default="deg3")
+    parser.add_argument("--family", choices=["deg3", "triangle-free", "deg4", "all"], default="deg3")
     args = parser.parse_args()
 
     if args.family == "deg3":
         corpus = connected_graphs(args.max_n, max_degree=3)
     elif args.family == "triangle-free":
         corpus = connected_graphs(args.max_n, triangle_free=True)
+    elif args.family == "deg4":
+        corpus = (g for g in connected_graphs(args.max_n, max_degree=4) if g.max_degree() == 4)
     else:
         corpus = connected_graphs(args.max_n)
 

@@ -11,15 +11,17 @@ edges and ``a <tail> <head>`` lines for arcs.  Vertices are 0-indexed.
 Serialisation is canonical (sorted body lines), so parse o serialize is the
 identity on canonical files.
 
-A text in the exact form the serialisers write (single spaces, ASCII
-digits, ``\n`` after every line, edges before arcs, no comment or blank
-line) is read in bulk: one regular expression over the whole text, and one
-``json.loads`` of each block of records rewritten as a JSON array, which
-converts all its numbers at once.  Any other text, and any canonical-looking
-text that fails a check (a number JSON rejects, such as one with a leading
-zero, a duplicate, a loop, a count or range fault), goes to the line reader,
-which alone reports errors, so both paths give the same graph or the same
-message.
+A graph text in the exact form :func:`serialize_graph` writes (single
+spaces, ASCII digits, ``\n`` after every line, no comment or blank line) is
+read in bulk: one regular expression over the whole text, and one
+``json.loads`` of its records rewritten as a JSON array, which converts all
+its numbers at once.  Any other graph text, and any canonical-looking text
+that fails a check (a number JSON rejects, such as one with a leading zero,
+a duplicate, a loop, a count or range fault), goes to the line reader, which
+alone reports errors, so both paths give the same graph or the same message.
+Only graph files are read in bulk, since ``mixedqt decide`` reads them and
+the benchmark times those calls; mixed-graph files, which ``verify``,
+``square`` and ``extract`` read, have the line reader alone.
 """
 
 from __future__ import annotations
@@ -95,62 +97,37 @@ def _read_body(lines: Iterator[tuple[int, str]], kinds: str) -> dict[str, set[tu
     return found
 
 
-# The serialisers' canonical forms; ``[0-9]`` admits ASCII digits only.  The
-# record repeats are possessive (``*+``, ``++``): a greedy repeat would keep
+# The graph serialiser's canonical form; ``[0-9]`` admits ASCII digits only.
+# The record repeats are possessive (``*+``, ``++``): a greedy repeat would keep
 # backtracking state for every line, some 350 bytes a line until the match ends.
 _CANONICAL_GRAPH = re.compile(r"p graph ([0-9]+) ([0-9]+)\n((?:e [0-9]++ [0-9]++\n)*+)")
-_CANONICAL_MIXED = re.compile(r"p mixed ([0-9]+) ([0-9]+) ([0-9]+)\n"
-                              r"((?:e [0-9]++ [0-9]++\n)*+)((?:a [0-9]++ [0-9]++\n)*+)")
-
-
-def _columns(block: str) -> tuple[list[int], list[int]]:
-    """The two endpoint columns of a canonical block of ``<kind> <x> <y>``
-    lines, as written.  The regular expression admits only ASCII digits and
-    single spaces there, so the block less its kind letters, with a comma
-    for each separator, is a JSON array of the numbers.  Raises ValueError
-    for a number JSON rejects (a leading zero) or ``int()`` cannot convert
-    (too many digits)."""
-    numbers = json.loads("[" + block[2:-1].replace("\n" + block[:2], ",").replace(" ", ",") + "]")
-    return numbers[0::2], numbers[1::2]
 
 
 def _parse_canonical_graph(text: str) -> Graph | None:
     """The graph of a text in canonical form, or None when the text is not in
     that form or fails a check, for the line reader to read or reject.
 
-    The checks run over whole columns: every edge written low end first,
-    which rules out a loop, and the largest end below n.  The graph is then
-    built without :class:`Graph`'s own pass over its edges."""
+    The expression admits only ASCII digits and single spaces in the block
+    of ``e <u> <v>`` lines, so the block less its ``e`` letters, with a comma
+    for each separator, is a JSON array of the endpoints.  The checks run
+    over whole columns: every edge written low end first, which rules out a
+    loop, and the largest end below n.  The graph is then built without
+    :class:`Graph`'s own pass over its edges."""
     match = _CANONICAL_GRAPH.fullmatch(text)
     if match is None:
         return None
     n, m, block = match.groups()
     try:
-        us, vs = _columns(block)
+        numbers = json.loads("[" + block[2:-1].replace("\ne ", ",").replace(" ", ",") + "]")
         count, declared = int(n), int(m)
     except ValueError:  # a leading zero, or a number too long for int()
         return None
+    us, vs = numbers[0::2], numbers[1::2]
     if not (all(map(lt, us, vs)) and max(vs, default=-1) < count):
         return None
     edges = frozenset(zip(us, vs))
     # as many distinct edges as lines, and as the header declares
     return _unchecked(Graph, n=count, edges=edges) if len(edges) == declared == len(us) else None
-
-
-def _parse_canonical_mixed(text: str) -> MixedGraph | None:
-    """:func:`_parse_canonical_graph` for mixed graphs."""
-    match = _CANONICAL_MIXED.fullmatch(text)
-    if match is None:
-        return None
-    n, me, ma, edges, arcs = match.groups()
-    try:
-        e_cols, a_cols = _columns(edges), _columns(arcs)
-        mg = MixedGraph(int(n), frozenset(zip(*e_cols)), frozenset(zip(*a_cols)))
-        declared = int(me), int(ma)
-    except ValueError:  # a loop, digon, shared pair or range fault, or a bad number
-        return None
-    found = (len(mg.edges), len(mg.arcs))
-    return mg if found == declared == (len(e_cols[0]), len(a_cols[0])) else None
 
 
 def parse_graph(text: str) -> Graph:
@@ -169,9 +146,6 @@ def parse_graph(text: str) -> Graph:
 
 
 def parse_mixed(text: str) -> MixedGraph:
-    mg = _parse_canonical_mixed(text)
-    if mg is not None:
-        return mg
     lines = enumerate(text.splitlines(), start=1)
     counts = _read_header(lines, "mixed", "empty mixed-graph file")
     if len(counts) != 3:

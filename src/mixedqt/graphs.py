@@ -3,7 +3,8 @@
 Vertices are dense integer ids 0..n-1.  Edges are unordered pairs stored as
 sorted tuples; arcs are ordered (tail, head) pairs.  All types are immutable
 and every operation is a pure function, so values can be shared freely
-between threads.
+between threads.  ``Graph.adj`` is built on first use, or frozen from the
+neighbour lists that ``decide_qt`` builds for its first 2-colouring.
 """
 
 from __future__ import annotations
@@ -87,16 +88,9 @@ def _neighbour_lists(g: Graph) -> list[list[int]]:
     return nbrs
 
 
-def _neighbours(g: Graph) -> Sequence[Iterable[int]]:
-    """``g.adj`` when it is built already, else :func:`_neighbour_lists`,
-    which :func:`_frozen_adj` can freeze into ``g.adj`` later."""
-    adj = g.__dict__.get("adj")
-    return _neighbour_lists(g) if adj is None else adj
-
-
 def _frozen_adj(g: Graph, nbrs: Sequence[Iterable[int]]) -> tuple[frozenset[int], ...]:
-    """``g.adj``, frozen from ``nbrs`` (what :func:`_neighbours` gave for g)
-    when it is not built yet, so the neighbour lists are built once."""
+    """``g.adj``, frozen from ``nbrs``, the neighbour lists of g, when it is
+    not built yet, so those lists are not built a second time."""
     adj = g.__dict__.get("adj")
     if adj is None:
         adj = g.__dict__["adj"] = tuple(map(frozenset, nbrs))

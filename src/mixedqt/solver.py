@@ -67,8 +67,11 @@ the classes in its final conflict, the empty clause when it has no pin
 holds or it has no model.  A 2-colouring of G comes first: a bipartite
 graph has no triangle, and each edge becomes the arc from colour 0 to colour
 1; an odd cycle in a graph with no triangle is a NO before any search.  The
-colouring runs over neighbour lists, which are frozen into ``g.adj`` only
-when it meets an odd cycle.
+colouring always runs over fresh neighbour lists, which are frozen into
+``g.adj`` when it meets an odd cycle and ``g.adj`` is not built yet.  A
+bipartite graph's colours do not depend on neighbour order, and on any
+other graph only the clash test is read, so the lists give the answers and
+witnesses that ``g.adj`` would.
 
 The witnesses :func:`decide_qt` builds are valid by construction, so they
 are made without the checks of :class:`MixedGraph` and
@@ -90,7 +93,7 @@ from .graphs import (
     _articulation_points,
     _components_of,
     _frozen_adj,
-    _neighbours,
+    _neighbour_lists,
     _two_colour,
     _unchecked,
     edge,
@@ -577,12 +580,12 @@ def decide_qt(g: Graph, opts: SolveOptions | None = None, *,
     inputs and options produce identical witnesses.  Raises :class:`BudgetExceeded`
     when a node limit is configured and hit, which is distinct from a NO answer.
     """
-    nbrs = _neighbours(g)
+    nbrs = _neighbour_lists(g)
     colour, _parent, _order, clash = _two_colour(range(g.n), nbrs)
     if clash is None:  # no triangle, and the general path would take twice as long
         return _arcs_by_colour(g, colour) if witness else True
     adj = _frozen_adj(g, nbrs)
-    del nbrs   # the lists are frozen into g.adj, or were g.adj already
+    del nbrs   # frozen into g.adj, or g.adj was built already
     free = triangle_free_edges(g)
     if len(free) == len(g.edges):
         return None  # an odd cycle and no triangle: no region to search

@@ -1,12 +1,17 @@
-"""Small named graphs, a networkx bridge, a brute-force oracle and a
-reference CNF encoder that only the tests use."""
+"""Small named graphs, a networkx bridge, a brute-force oracle, planted
+NAE3SAT formulas whose answer is known at any size, mutants of canonical
+graph and mixed-graph texts, and a reference CNF encoder that only the
+tests use."""
 
+import random
 from itertools import combinations
 from typing import Iterator
 
 import networkx as nx
 
+from mixedqt.generate import random_nae_instance
 from mixedqt.graphs import Graph, _components_of
+from mixedqt.reduction import CnfInstance
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -39,6 +44,79 @@ def prism_graph() -> Graph:
     """The triangular prism: two triangles joined by a perfect matching."""
     return Graph(6, frozenset({(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
                                (0, 3), (1, 4), (2, 5)}))
+
+
+# The seven lines of the Fano plane on points 1..7.  No 2-colouring of the
+# points leaves every line with both colours, so no formula that contains
+# these clauses, on any seven distinct variables, is NAE-satisfiable.
+FANO_LINES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6))
+
+
+def fano_planted(num_vars: int, num_clauses: int, rng: random.Random) -> CnfInstance:
+    """A NO instance by construction: a random monotone formula with the
+    Fano plane's seven clauses placed on seven of its variables."""
+    y = random_nae_instance(num_vars, num_clauses, rng)
+    point = [0, *rng.sample(range(1, num_vars + 1), 7)]   # point i is variable point[i]
+    fano = tuple(tuple(point[i] for i in line) for line in FANO_LINES)
+    return CnfInstance(num_vars, y.clauses + fano)
+
+
+def nae_planted(num_vars: int, num_clauses: int, rng: random.Random
+                ) -> tuple[CnfInstance, dict[int, bool]]:
+    """A YES instance by construction, with its hidden assignment: each
+    clause is drawn again until that assignment gives it both values."""
+    hidden = {x: rng.random() < 0.5 for x in range(1, num_vars + 1)}
+    hidden[1], hidden[2] = True, False   # both values occur, so every draw can end
+    clauses = []
+    while len(clauses) < num_clauses:
+        clause = tuple(rng.sample(range(1, num_vars + 1), 3))
+        if len({hidden[x] for x in clause}) == 2:
+            clauses.append(clause)
+    return CnfInstance(num_vars, tuple(clauses)), hidden
+
+
+ARABIC_INDIC = "٠١٢٣٤٥٦٧٨٩"
+
+
+def mutants(text: str, rng: random.Random) -> list[str]:
+    """Texts one fault or one non-canonical detail away from ``text``, a
+    canonical text with at least one record, each at a random record."""
+    header, *body = text.splitlines()
+    fields = header.split()
+    i = rng.randrange(len(body))
+    kind, u, v = body[i].split()
+    other = "a" if kind == "e" else "e"
+    n = int(fields[2])
+
+    def line(*new: str) -> str:
+        return "\n".join([header, *body[:i], *new, *body[i + 1:]]) + "\n"
+
+    def head(*counts: str) -> str:
+        return "\n".join([" ".join(fields[:2] + list(counts)), *body]) + "\n"
+
+    return [
+        line(f"{kind} {v} {u}"),                            # reversed pair
+        line(body[i], body[i]),                             # duplicate
+        line(body[i], f"{kind} {v} {u}"),                   # reversed duplicate, a digon for arcs
+        line(body[i], f"{other} {u} {v}"),                  # the same pair as both kinds
+        line(f"{kind} {u} {u}"),                            # loop
+        line(f"{kind} {u} {n}"),                            # out of range
+        line(f"{kind} -1 {v}"),                             # negative endpoint
+        line(f"{kind} {u} {'9' * 5000}"),                   # too long for int()
+        line(f"{kind} {u} {v} {v}"),                        # four fields
+        line(f"{kind} 0{u} 00{v}"),                         # leading zeros
+        line(f"{kind} +{u} {v}"),                           # a sign
+        line(f"{kind} {u} {''.join(ARABIC_INDIC[int(d)] for d in v)}"),  # non-ASCII digits
+        line(f"{kind}  {u} {v} "),                          # extra spaces
+        line(),                                             # a record short of the header
+        "\n".join([header, body[-1], *body[:-1]]) + "\n",   # the last record first
+        text.replace("\n", "\r\n"),                         # CRLF endings
+        text[:-1],                                          # no final newline
+        head("²", *fields[3:]),                             # non-ASCII digit in the header
+        head("".join(ARABIC_INDIC[int(d)] for d in fields[2]), *fields[3:]),
+        head("9" * 5000, *fields[3:]),
+        head(*fields[2:-1], str(int(fields[-1]) + 1)),     # a count one too high
+    ]
 
 
 VertexCut = tuple[frozenset[int], frozenset[int], frozenset[int]]

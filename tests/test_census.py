@@ -1,7 +1,9 @@
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 SCRIPT = Path(__file__).parent.parent / "scripts" / "orientability_census.py"
@@ -23,3 +25,21 @@ def test_triangle_free_census_girth_line(census, monkeypatch, capsys, max_n, spa
     assert census.main() == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == f"girth range among non-forests: {span}"
+
+
+def test_degree_four_census(census, monkeypatch, capsys):
+    # the paper's open case: every connected graph of maximum degree exactly
+    # four, here to n = 6, checked against exhaustive enumeration; the
+    # per-n counts must match networkx's atlas of all graphs on up to 7 vertices
+    monkeypatch.setattr(sys, "argv", ["orientability_census.py", "--family", "deg4",
+                                      "--max-n", "6"])
+    assert census.main() == 0
+    out = capsys.readouterr().out
+    rows = dict(map(int, m.groups()) for m in re.finditer(r"^ +(\d+) +(\d+) +\d+$", out, re.M))
+    atlas = [h for h in nx.graph_atlas_g()[1:] if h.number_of_nodes() <= 6
+             and nx.is_connected(h) and max(d for _v, d in h.degree()) == 4]
+    want = {n: sum(h.number_of_nodes() == n for h in atlas) for n in (5, 6)}
+    assert rows == want
+    total = sum(want.values())
+    assert f"total {total} graphs" in out
+    assert f"{total} enumerated, 0 decision disagreements" in out

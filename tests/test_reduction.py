@@ -33,8 +33,9 @@ from mixedqt.solver import (
     vertex_status,
 )
 
-FANO = CnfInstance(7, ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6),
-                       (2, 5, 7), (3, 4, 7), (3, 5, 6)))
+from helpers import FANO_LINES, fano_planted, nae_planted
+
+FANO = CnfInstance(7, FANO_LINES)
 
 NON_CONSTANT = {
     ("+", "+", "-"), ("+", "-", "+"), ("+", "-", "-"),
@@ -282,6 +283,30 @@ class TestWitnessTranslation:
         w = decide_qt(g)
         f = witness_to_assignment(rm, w.mixed)
         assert is_nae_satisfying(y, f)
+
+    def test_planted_formulas_agree_with_brute_force(self):
+        # below brute_nae's cap the planted answers are the oracle's
+        for seed in range(10):
+            rng = random.Random(f"planted/small/{seed}")
+            assert brute_nae(fano_planted(12, 20, rng)) is None
+            y, hidden = nae_planted(12, 20, rng)
+            assert is_nae_satisfying(y, hidden) and brute_nae(y) is not None
+
+    @pytest.mark.parametrize("num_vars", [40, 60])
+    def test_planted_formulas_past_the_brute_force_cap(self, num_vars):
+        # brute_nae stops at 24 variables; past it a Fano plane on seven
+        # variables makes a NO and a hidden assignment a YES, by construction
+        for seed in range(3):
+            rng = random.Random(f"planted/{num_vars}/{seed}")
+            num_clauses = round(2.1 * num_vars)
+            drop = bool(seed % 2)
+            g, _ = build_reduction(fano_planted(num_vars, num_clauses, rng), drop_pendants=drop)
+            assert decide_qt(g, witness=False) is None
+            y, _hidden = nae_planted(num_vars, num_clauses, rng)
+            g, rm = build_reduction(y, drop_pendants=drop)
+            w = decide_qt(g)
+            assert w is not None and verify_witness(g, w.mixed).ok
+            assert is_nae_satisfying(y, witness_to_assignment(rm, w.mixed))
 
     def test_all_kept_rejected(self):
         y = CnfInstance(3, ((1, 2, 3),))
